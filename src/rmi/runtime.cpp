@@ -29,18 +29,55 @@ class AmbientDeadlineScope {
   std::int64_t saved_;
 };
 
+// Scatter-gather send (CostModel::zero_copy_send): serialize into a
+// gather list so inline primitive-array rows ride as borrowed segments.
+// The HEAVY protocol keeps the contiguous path — it is the baseline the
+// ablations compare against.
+void maybe_gather(wire::Message& msg, const serial::CostModel& cmodel,
+                  bool heavy) {
+  if (cmodel.zero_copy_send && !heavy) {
+    msg.gathered = std::make_shared<support::GatherBuffer>(
+        cmodel.gather_min_borrow_bytes, cmodel.gather_pin_copy_threshold);
+  }
+}
+
+// Deep-clones `obj` for a same-machine call (RMI copy semantics, §1),
+// counting the copy into `pass`.
+om::ObjRef clone_counted(om::Heap& heap, om::ObjRef obj,
+                         serial::SerialStats& pass) {
+  om::ObjRef c = obj ? om::deep_clone(heap, obj) : nullptr;
+  const om::GraphExtent ext = om::graph_extent(c);
+  pass.objects_allocated += ext.objects;
+  pass.bytes_allocated += ext.bytes;
+  pass.bytes_copied += ext.bytes;
+  return c;
+}
+
+// One value through the writer into whichever body `msg` carries.
+void write_value(serial::SerialWriter& w, wire::Message& msg, bool heavy,
+                 const serial::NodePlan* plan, om::ObjRef value) {
+  if (heavy) {
+    w.write_introspective(msg.payload, value);
+  } else if (msg.gathered) {
+    w.write(*msg.gathered, *plan, value);
+  } else {
+    w.write(msg.payload, *plan, value);
+  }
+}
+
 }  // namespace
 
-// Shared state of one invoke_async: the send half fills it on the
-// caller's thread; RmiFuture::get() hands it back to finish_remote.  For
-// a local target the call already ran inline and the outcome is stored
-// directly.
+// Shared state of one call, from the gate to its result: invoke_async
+// allocates it for the RmiFuture, invoke_oneway keeps it on the stack
+// (nothing comes back).  A local call already ran inline and its outcome
+// is stored directly.
 struct AsyncCallState {
   RmiSystem* sys = nullptr;
   std::uint16_t caller = 0;
   RemoteRef target;
   std::uint32_t callsite_id = 0;
   std::uint32_t seq = 0;
+  bool oneway = false;
   bool is_local = false;
   om::ObjRef local_value = nullptr;
   std::exception_ptr local_error;
@@ -68,7 +105,7 @@ om::ObjRef RmiFuture::get() {
     if (st->local_error) std::rethrow_exception(st->local_error);
     return st->local_value;
   }
-  return st->sys->finish_remote(*st);
+  return st->sys->finish_call(*st);
 }
 
 bool RmiFuture::wait_for(std::int64_t real_ms) {
@@ -99,7 +136,12 @@ RmiSystem::RmiSystem(net::Cluster& cluster, const om::TypeRegistry& types,
   }
 }
 
-RmiSystem::~RmiSystem() { stop(); }
+RmiSystem::~RmiSystem() {
+  stop();
+  // Return-value caches go last: their top graph is the value the caller
+  // last received at a reuse_ret site, valid until the system is gone.
+  free_reuse_caches(/*ret_side=*/true);
+}
 
 std::uint32_t RmiSystem::define_method(std::string name, Handler handler) {
   RMIOPT_CHECK(!started_, "define_method after start");
@@ -164,16 +206,22 @@ void RmiSystem::stop() {
   // produce more traffic.
   cluster_.flush();
   // Callee-side reuse caches are runtime-owned (§3.3): release them now
-  // that nothing can dispatch into them.  Return-value caches are not —
-  // their top graph is the value the caller last received and may still
-  // hold.  Slots may share substructure across arguments, so free the
-  // union per machine exactly once.
+  // that nothing can dispatch into them.  Return-value caches wait for
+  // the destructor — their top graph is the value the caller last
+  // received and may still hold.
+  free_reuse_caches(/*ret_side=*/false);
+  started_ = false;
+}
+
+void RmiSystem::free_reuse_caches(bool ret_side) {
+  // Slots may share substructure across arguments, so free the union per
+  // machine exactly once.
   for (std::size_t id = 0; id < contexts_.size(); ++id) {
     MachineContext& ctx = *contexts_[id];
     std::unordered_set<om::Object*> graphs;
     {
       std::scoped_lock lock(ctx.cache_mu);
-      for (auto& [site, slot] : ctx.arg_cache) {
+      for (auto& [site, slot] : ret_side ? ctx.ret_cache : ctx.arg_cache) {
         std::scoped_lock slot_lock(slot->mu);
         for (om::ObjRef o : slot->cached) om::collect_graph(o, graphs);
         slot->cached.clear();
@@ -182,16 +230,78 @@ void RmiSystem::stop() {
     om::Heap& heap = cluster_.machine(static_cast<std::uint16_t>(id)).heap();
     for (om::Object* o : graphs) heap.free(o);
   }
-  started_ = false;
 }
 
-void RmiSystem::charge(std::uint16_t machine_id,
-                       const serial::SerialStats& pass) {
+void RmiSystem::account(std::uint16_t machine_id, std::uint32_t callsite_id,
+                        const serial::SerialStats& pass, int local_rpcs,
+                        int remote_rpcs) {
   cluster_.machine(machine_id).clock().advance(
       pass.cpu_cost(cluster_.cost()));
+  contexts_.at(machine_id)->stats.add_pass(pass);
+  if (callsite_id >= callsites_.size()) return;  // an id off the wire
+  std::scoped_lock lock(site_stats_mu_);
+  RmiStatsSnapshot& s = site_stats_[callsite_id];
+  s.serial += pass;
+  s.local_rpcs += static_cast<std::uint64_t>(local_rpcs);
+  s.remote_rpcs += static_cast<std::uint64_t>(remote_rpcs);
 }
 
-// ---- tracing ----------------------------------------------------------------
+// ---- occurrences: counters and trace events ---------------------------------
+
+void RmiSystem::note(Occurrence what, std::uint16_t machine_id,
+                     std::uint32_t callsite_id, std::uint32_t seq,
+                     std::int64_t start_ns, std::uint64_t bytes) {
+  using S = RmiStatsSnapshot;
+  using E = trace::EventKind;
+  enum Mark : std::uint8_t { kUntraced, kInstant, kSpan };
+  struct Row {
+    RmiStats::Counter counter;  // nullptr: trace only
+    RmiStats::Counter also;     // a second counter the occurrence implies
+    Mark mark;
+    E event;
+  };
+  // The one table: rows in Occurrence order (docs/OBSERVABILITY.md).
+  static constexpr Row kTable[] = {
+      {&S::local_rpcs, nullptr, kUntraced, {}},             // LocalRpc
+      {&S::remote_rpcs, nullptr, kUntraced, {}},            // RemoteRpc
+      {&S::oneway_calls, nullptr, kInstant, E::OnewaySend},
+      {nullptr, nullptr, kSpan, E::Call},                   // CallDone
+      {nullptr, nullptr, kSpan, E::LocalCall},              // LocalCallDone
+      {nullptr, nullptr, kSpan, E::HandlerRun},
+      {nullptr, nullptr, kInstant, E::ReplyDeliver},
+      {&S::stray_replies, nullptr, kUntraced, {}},          // StrayReply
+      {&S::undeliverable_replies, nullptr, kUntraced, {}},  // Undeliverable
+      {&S::call_timeouts, nullptr, kInstant, E::CallTimeout},
+      {&S::call_timeouts, &S::machine_down_failures, kInstant, E::CallTimeout},
+      {&S::deadline_rejects, nullptr, kInstant, E::DeadlineReject},
+      {&S::sheds, nullptr, kInstant, E::OverloadShed},      // Shed
+      {&S::credit_stalls, nullptr, kSpan, E::CreditStall},
+      {&S::cancels_sent, nullptr, kInstant, E::CancelSent},
+      {&S::cancels_honored, nullptr, kInstant, E::CancelHonored},
+      {&S::duplicate_calls, nullptr, kInstant, E::DuplicateDropped},
+      {&S::duplicate_calls, &S::replayed_replies, kInstant, E::ReplyReplayed},
+      {&S::reply_cache_pins, nullptr, kInstant, E::ReplyCachePinned},
+  };
+  static_assert(std::size(kTable) ==
+                static_cast<std::size_t>(Occurrence::ReplyCachePinned) + 1);
+  const Row& row = kTable[static_cast<std::size_t>(what)];
+  if (row.counter != nullptr) {
+    contexts_.at(machine_id)->stats.count(row.counter, row.also);
+  }
+  trace::Recorder* const rec = recorder();
+  if (rec == nullptr || row.mark == kUntraced) return;
+  const std::int64_t now =
+      cluster_.machine(machine_id).clock().now().as_nanos();
+  const std::int64_t start = row.mark == kSpan ? start_ns : now;
+  rec->record({.kind = row.event, .machine = machine_id, .start_ns = start,
+               .dur_ns = now > start ? now - start : 0,
+               .callsite = callsite_id, .seq = seq, .bytes = bytes});
+}
+
+std::int64_t RmiSystem::span_start(std::uint16_t machine_id) const {
+  if (recorder() == nullptr) return 0;  // inert: no clock read
+  return cluster_.machine(machine_id).clock().now().as_nanos();
+}
 
 trace::PassTrace RmiSystem::pass_trace(trace::EventKind kind,
                                        std::uint16_t machine_id,
@@ -207,38 +317,6 @@ trace::PassTrace RmiSystem::pass_trace(trace::EventKind kind,
   pt.virtual_start_ns = cluster_.machine(machine_id).clock().now().as_nanos();
   pt.cost = &cluster_.cost();
   return pt;
-}
-
-void RmiSystem::trace_instant(trace::EventKind kind, std::uint16_t machine_id,
-                              std::uint32_t callsite_id,
-                              std::uint32_t seq) const {
-  trace::Recorder* rec = recorder();
-  if (rec == nullptr) return;
-  trace::Event e;
-  e.kind = kind;
-  e.machine = machine_id;
-  e.callsite = callsite_id;
-  e.seq = seq;
-  e.start_ns = cluster_.machine(machine_id).clock().now().as_nanos();
-  rec->record(e);
-}
-
-void RmiSystem::trace_span(trace::EventKind kind, std::uint16_t machine_id,
-                           std::uint32_t callsite_id, std::uint32_t seq,
-                           std::int64_t start_ns, std::uint64_t bytes) const {
-  trace::Recorder* rec = recorder();
-  if (rec == nullptr) return;
-  trace::Event e;
-  e.kind = kind;
-  e.machine = machine_id;
-  e.callsite = callsite_id;
-  e.seq = seq;
-  e.start_ns = start_ns;
-  const std::int64_t now =
-      cluster_.machine(machine_id).clock().now().as_nanos();
-  e.dur_ns = now > start_ns ? now - start_ns : 0;
-  e.bytes = bytes;
-  rec->record(e);
 }
 
 void RmiSystem::charge_stub(std::uint16_t machine_id,
@@ -261,6 +339,12 @@ std::string RmiSystem::site_desc(std::uint32_t callsite_id) const {
   const CompiledCallSite& s = callsites_[callsite_id];
   return "site " + std::to_string(callsite_id) + " (" + s.plan->name + ", " +
          std::string(codegen::to_string(s.level)) + ")";
+}
+
+std::string RmiSystem::call_desc(const AsyncCallState& st) const {
+  return std::string(st.oneway ? "oneway call seq " : "call seq ") +
+         std::to_string(st.seq) + " via " + site_desc(st.callsite_id) +
+         " to machine " + std::to_string(st.target.machine);
 }
 
 std::int64_t RmiSystem::compute_deadline(std::int64_t now_ns,
@@ -287,9 +371,7 @@ std::int64_t RmiSystem::compute_deadline(std::int64_t now_ns,
 void RmiSystem::send_cancel_raw(std::uint16_t caller, std::uint16_t dest,
                                 std::uint32_t callsite_id,
                                 std::uint32_t seq) {
-  MachineContext& cctx = *contexts_.at(caller);
-  cctx.stats.count_cancel_sent();
-  trace_instant(trace::EventKind::CancelSent, caller, callsite_id, seq);
+  note(Occurrence::CancelSent, caller, callsite_id, seq);
   wire::Message c;
   c.header.kind = wire::MsgKind::Cancel;
   c.header.callsite_id = callsite_id;
@@ -304,47 +386,21 @@ void RmiSystem::send_cancel_raw(std::uint16_t caller, std::uint16_t dest,
   }
 }
 
-void RmiSystem::reject_remote_call(MachineContext& ctx,
-                                   const ReplyToken& token,
-                                   wire::RejectCode code,
-                                   const std::string& reason) {
-  wire::Message rej;
-  rej.header.kind = wire::MsgKind::Reject;
-  rej.header.callsite_id = token.callsite_id;
-  rej.header.seq = token.seq;
-  rej.header.source_machine = token.callee_machine;
-  rej.header.dest_machine = token.caller_machine;
-  rej.payload.put_u8(static_cast<std::uint8_t>(code));
-  rej.payload.put_string(reason);
-  // Tombstone: a duplicate of this call replays the typed refusal instead
-  // of re-executing (at-most-once holds across cancellation).
-  cache_reply(ctx, call_key(token.caller_machine, token.seq), rej);
-  if (token.oneway) return;  // fire-and-forget: nobody is waiting
-  try {
-    cluster_.send(std::move(rej));
-  } catch (const ProtocolError&) {
-    ctx.stats.count_undeliverable_reply();
-  }
-}
-
-std::promise<RmiSystem::PendingReply>& RmiSystem::register_pending(
-    MachineContext& ctx, std::uint32_t seq, std::uint16_t dest) {
+void RmiSystem::erase_pending(MachineContext& ctx, std::uint32_t seq) {
   std::scoped_lock lock(ctx.pending_mu);
-  PendingSlot& slot = ctx.pending[seq];
-  slot.dest = dest;
-  return slot.promise;
+  ctx.pending.erase(seq);
 }
 
-RmiSystem::PendingReply RmiSystem::await_pending(
-    MachineContext& ctx, std::uint16_t caller, std::uint32_t callsite_id,
-    std::uint32_t seq, std::future<PendingReply> fut, std::uint16_t dest) {
+RmiSystem::PendingReply RmiSystem::await_pending(AsyncCallState& st) {
+  MachineContext& ctx = *contexts_.at(st.caller);
+  const std::uint16_t dest = st.target.machine;
   const std::int64_t budget_ms = exec_cfg_.call_timeout_ms;
   net::FailureDetector* const fd = cluster_.detector();
-  bool timed_out = false;
+  bool timed_out = false, dead = false;
   if (fd == nullptr) {
     timed_out =
         budget_ms > 0 &&
-        fut.wait_for(std::chrono::milliseconds(budget_ms)) ==
+        st.fut.wait_for(std::chrono::milliseconds(budget_ms)) ==
             std::future_status::timeout;
   } else {
     // Slice the real-time wait: between slices, drive the probe rounds
@@ -355,25 +411,16 @@ RmiSystem::PendingReply RmiSystem::await_pending(
     // declaration itself stays on the deterministic virtual-time axis.
     constexpr std::int64_t kSliceMs = 2;
     for (std::int64_t waited_ms = 0;;) {
-      if (fut.wait_for(std::chrono::milliseconds(kSliceMs)) ==
+      if (st.fut.wait_for(std::chrono::milliseconds(kSliceMs)) ==
           std::future_status::ready) {
         break;
       }
       fd->poll(cluster_.makespan());
       if (fd->dead(dest) &&
-          fut.wait_for(std::chrono::seconds(0)) !=
+          st.fut.wait_for(std::chrono::seconds(0)) !=
               std::future_status::ready) {
-        {
-          std::scoped_lock lock(ctx.pending_mu);
-          ctx.pending.erase(seq);
-        }
-        ctx.stats.count_call_timeout();
-        ctx.stats.count_machine_down();
-        throw MachineDown(
-            dest, "call seq " + std::to_string(seq) + " via " +
-                      site_desc(callsite_id) + " to machine " +
-                      std::to_string(dest) +
-                      ": machine declared dead while awaiting the reply");
+        dead = true;
+        break;
       }
       waited_ms += kSliceMs;
       if (budget_ms > 0 && waited_ms >= budget_ms) {
@@ -382,31 +429,30 @@ RmiSystem::PendingReply RmiSystem::await_pending(
       }
     }
   }
+  auto what = [&](const std::string& why) {  // built on failure paths only
+    return call_desc(st) + ": " + why;
+  };
+  if (dead || timed_out) erase_pending(ctx, st.seq);
+  if (dead) {
+    note(Occurrence::MachineDown, st.caller, st.callsite_id, st.seq);
+    throw MachineDown(dest,
+                      what("machine declared dead while awaiting the reply"));
+  }
   if (timed_out) {
-    {
-      std::scoped_lock lock(ctx.pending_mu);
-      ctx.pending.erase(seq);
-    }
-    ctx.stats.count_call_timeout();
     // The callee may still be computing: tell it to stop (best-effort) so
     // the reply nobody will read is abandoned at the next poll boundary.
-    if (dest != caller) send_cancel_raw(caller, dest, callsite_id, seq);
-    throw RmiTimeout("call seq " + std::to_string(seq) + " via " +
-                     site_desc(callsite_id) + ": no reply within " +
-                     std::to_string(budget_ms) + " ms");
+    if (dest != st.caller) {
+      send_cancel_raw(st.caller, dest, st.callsite_id, st.seq);
+    }
+    note(Occurrence::CallTimeout, st.caller, st.callsite_id, st.seq);
+    throw RmiTimeout(what("no reply within " + std::to_string(budget_ms) +
+                          " ms"));
   }
-  PendingReply rep = fut.get();
-  {
-    std::scoped_lock lock(ctx.pending_mu);
-    ctx.pending.erase(seq);
-  }
+  // The entry is already gone: whoever fulfilled the promise erased it.
+  PendingReply rep = st.fut.get();
   if (rep.machine_down) {
-    ctx.stats.count_call_timeout();
-    ctx.stats.count_machine_down();
-    throw MachineDown(dest, "call seq " + std::to_string(seq) + " via " +
-                                site_desc(callsite_id) + " to machine " +
-                                std::to_string(dest) +
-                                ": machine declared dead");
+    note(Occurrence::MachineDown, st.caller, st.callsite_id, st.seq);
+    throw MachineDown(dest, what("machine declared dead"));
   }
   if (rep.is_exception) throw RemoteException(rep.error);
   if (!rep.is_local && rep.msg.header.kind == wire::MsgKind::Exception) {
@@ -416,20 +462,18 @@ RmiSystem::PendingReply RmiSystem::await_pending(
     // The callee refused (or abandoned) the call without running its
     // handler to completion: map the code back to the typed exception.
     const auto code = static_cast<wire::RejectCode>(rep.msg.payload.get_u8());
-    const std::string reason = rep.msg.payload.get_string();
-    const std::string what = "call seq " + std::to_string(seq) + " via " +
-                             site_desc(callsite_id) + " to machine " +
-                             std::to_string(dest) + ": " + reason;
+    const std::string msg = what(rep.msg.payload.get_string());
     switch (code) {
       case wire::RejectCode::DeadlineExceeded:
-        ctx.stats.count_call_timeout();
-        throw DeadlineExceeded(what);
+        note(Occurrence::CallTimeout, st.caller, st.callsite_id, st.seq);
+        throw DeadlineExceeded(msg);
       case wire::RejectCode::Overload:
-        throw Overload(what);
+        throw Overload(msg);
       case wire::RejectCode::Cancelled:
-        throw Cancelled(what);
+        throw Cancelled(msg);
     }
-    throw RmiTimeout(what);  // unknown code from a newer peer
+    note(Occurrence::CallTimeout, st.caller, st.callsite_id, st.seq);
+    throw RmiTimeout(msg);  // unknown code from a newer peer
   }
   return rep;
 }
@@ -475,14 +519,6 @@ void RmiSystem::fail_pending_to(std::uint16_t machine) {
   }
 }
 
-void RmiSystem::fulfill_pending(MachineContext& ctx, std::uint32_t seq,
-                                PendingReply reply) {
-  // Local-path replies are produced by the runtime itself, so a missing
-  // entry here is a programmer error, not network noise.
-  RMIOPT_CHECK(try_fulfill_pending(ctx, seq, std::move(reply)),
-               "reply without matching call");
-}
-
 // ---- at-most-once -----------------------------------------------------------
 
 RmiSystem::CallAdmission RmiSystem::admit_call(std::uint16_t machine_id,
@@ -514,10 +550,8 @@ RmiSystem::CallAdmission RmiSystem::admit_call(std::uint16_t machine_id,
     if (vit == ctx.reply_cache.end()) continue;  // already released
     if (!vit->second.replied) {
       ctx.reply_cache_order.push_back(victim);  // pinned: still in flight
-      ctx.stats.count_reply_cache_pin();
-      trace_instant(trace::EventKind::ReplyCachePinned, machine_id,
-                    trace::Event::kNoCallsite,
-                    static_cast<std::uint32_t>(victim));
+      note(Occurrence::ReplyCachePinned, machine_id, trace::Event::kNoCallsite,
+           static_cast<std::uint32_t>(victim));
       continue;
     }
     ctx.reply_cache.erase(vit);
@@ -542,24 +576,26 @@ RmiSystem::ReuseSlot& RmiSystem::reuse_slot(MachineContext& ctx,
   auto& map = ret_side ? ctx.ret_cache : ctx.arg_cache;
   auto& slot = map[callsite_id];
   if (!slot) slot = std::make_unique<ReuseSlot>();
+  // `cached` is guarded by the slot's own mutex: an executor may be
+  // putting arguments back into it right now.
+  std::scoped_lock slot_lock(slot->mu);
   if (slot->cached.size() < arity) slot->cached.resize(arity, nullptr);
   return *slot;
 }
 
-void RmiSystem::free_arg_graphs(om::Heap& heap,
-                                std::span<const om::ObjRef> args,
-                                serial::SerialStats& pass) {
+void RmiSystem::free_graphs(om::Heap& heap, std::span<const om::ObjRef> roots,
+                            serial::SerialStats& pass) {
   // Arguments may share substructure (Figure 8 passes the same object
   // twice), so free the *union* of the graphs exactly once.
   std::unordered_set<om::Object*> all;
-  for (om::ObjRef a : args) om::collect_graph(a, all);
+  for (om::ObjRef r : roots) om::collect_graph(r, all);
   for (om::Object* o : all) {
     heap.free(o);
     ++pass.objects_freed;
   }
 }
 
-// ---- invocation -------------------------------------------------------------
+// ---- invocation: the caller-side pipeline -----------------------------------
 
 om::ObjRef RmiSystem::invoke(std::uint16_t caller, RemoteRef target,
                              std::uint32_t callsite_id,
@@ -576,179 +612,185 @@ RmiFuture RmiSystem::invoke_async(std::uint16_t caller, RemoteRef target,
                                   std::span<const om::ObjRef> args,
                                   std::span<const std::int64_t> scalars,
                                   const CallOptions& opts) {
+  auto st = std::make_shared<AsyncCallState>();
+  issue(*st, caller, target, callsite_id, /*oneway=*/false, args, scalars,
+        opts);
+  return RmiFuture(std::move(st));
+}
+
+void RmiSystem::invoke_oneway(std::uint16_t caller, RemoteRef target,
+                              std::uint32_t callsite_id,
+                              std::span<const om::ObjRef> args,
+                              std::span<const std::int64_t> scalars,
+                              const CallOptions& opts) {
+  AsyncCallState st;
+  issue(st, caller, target, callsite_id, /*oneway=*/true, args, scalars, opts);
+  if (st.local_error) std::rethrow_exception(st.local_error);
+}
+
+void RmiSystem::issue(AsyncCallState& st, std::uint16_t caller,
+                      RemoteRef target, std::uint32_t callsite_id,
+                      bool oneway, std::span<const om::ObjRef> args,
+                      std::span<const std::int64_t> scalars,
+                      const CallOptions& opts) {
   const CompiledCallSite& site = callsite(callsite_id);
-  const serial::CallSitePlan& plan = *site.plan;
-  RMIOPT_CHECK(args.size() == plan.args.size(),
+  RMIOPT_CHECK(args.size() == site.plan->args.size(),
                "argument count does not match call-site plan");
-  const std::uint32_t seq = next_seq_.fetch_add(1);
+  st.sys = this;
+  st.caller = caller;
+  st.target = target;
+  st.callsite_id = callsite_id;
+  st.seq = next_seq_.fetch_add(1);
+  st.oneway = oneway;
+  st.is_local = target.machine == caller;
   MachineContext& cctx = *contexts_.at(caller);
   net::Machine& m = cluster_.machine(caller);
 
   const std::int64_t deadline =
       compute_deadline(m.clock().now().as_nanos(), opts);
-  if (deadline != 0 && m.clock().now().as_nanos() >= deadline) {
-    // Fail fast at the first hop that cannot finish in time: do not
-    // serialize, do not send.
-    cctx.stats.count_deadline_reject();
-    trace_instant(trace::EventKind::DeadlineReject, caller, callsite_id,
-                  seq);
-    throw DeadlineExceeded("call via " + site_desc(callsite_id) +
-                           " to machine " + std::to_string(target.machine) +
-                           ": budget exhausted before the send");
-  }
+  gate(st, deadline, "budget exhausted before the send");
+  if (!st.is_local) admit(st, deadline);
 
-  auto st = std::make_shared<AsyncCallState>();
-  st->sys = this;
-  st->caller = caller;
-  st->target = target;
-  st->callsite_id = callsite_id;
-  st->seq = seq;
-
-  if (target.machine == caller) {
-    // The local path is synchronous by construction (the handler runs
-    // inline on this thread): execute now, hand back a ready future.
-    st->is_local = true;
-    try {
-      st->local_value =
-          invoke_local(caller, target, site, args, scalars, seq, deadline);
-    } catch (...) {
-      st->local_error = std::current_exception();
-    }
-    return RmiFuture(std::move(st));
-  }
-
-  // Admission control, evaluated against the callee's deterministic
-  // virtual-time inbox model *before* any work is invested in the call.
-  AdmissionController& adm = *contexts_.at(target.machine)->admission;
-  if (adm.enabled()) {
-    const AdmissionController::Decision d =
-        adm.admit(m.clock().now().as_nanos());
-    if (d.stall_ns > 0) {
-      // Backpressure: the flow-control credit delays this sender's
-      // virtual-time send, pacing it to the callee's capacity.
-      trace::Recorder* const rec = recorder();
-      const std::int64_t stall_start =
-          rec != nullptr ? m.clock().now().as_nanos() : 0;
-      m.clock().advance(SimTime::nanos(d.stall_ns));
-      cctx.stats.count_credit_stall();
-      trace_span(trace::EventKind::CreditStall, caller, callsite_id, seq,
-                 stall_start);
-    }
-    if (!d.admitted) {
-      cctx.stats.count_shed();
-      trace_instant(trace::EventKind::OverloadShed, caller, callsite_id,
-                    seq);
-      throw Overload("call via " + site_desc(callsite_id) + " to machine " +
-                     std::to_string(target.machine) +
-                     " shed: inbox at its bound (" +
-                     std::to_string(exec_cfg_.inbox_bound) +
-                     "); retry with backoff");
-    }
-    // The stall consumed part of the budget; re-check before sending.
-    if (deadline != 0 && m.clock().now().as_nanos() >= deadline) {
-      cctx.stats.count_deadline_reject();
-      trace_instant(trace::EventKind::DeadlineReject, caller, callsite_id,
-                    seq);
-      throw DeadlineExceeded(
-          "call via " + site_desc(callsite_id) + " to machine " +
-          std::to_string(target.machine) +
-          ": budget exhausted by flow-control backpressure");
-    }
-  }
-
-  cctx.stats.count_remote_rpc();
-  // Caller-perceived Call span: from here to the reply's deserialization.
-  trace::Recorder* const rec = recorder();
-  st->call_start_ns = rec != nullptr ? m.clock().now().as_nanos() : 0;
-  st->fut = register_pending(cctx, seq, target.machine).get_future();
-
-  wire::Message msg;
-  msg.header.kind = wire::MsgKind::Call;
-  msg.header.callsite_id = callsite_id;
-  msg.header.target_export = target.export_id;
-  msg.header.seq = seq;
-  msg.header.source_machine = caller;
-  msg.header.dest_machine = target.machine;
-  msg.header.deadline_ns = deadline;
-
-  // Scatter-gather send (CostModel::zero_copy_send): serialize into a
-  // gather list so inline primitive-array rows ride as borrowed segments.
-  // The HEAVY protocol keeps the contiguous path — it is the baseline the
-  // ablations compare against.
-  const serial::CostModel& cmodel = cluster_.cost();
-  if (cmodel.zero_copy_send && !site.heavy) {
-    msg.gathered = std::make_shared<support::GatherBuffer>(
-        cmodel.gather_min_borrow_bytes, cmodel.gather_pin_copy_threshold);
-    msg.gathered->put_varint(scalars.size());
-    for (const std::int64_t s : scalars) msg.gathered->put_i64(s);
+  note(st.is_local ? Occurrence::LocalRpc : Occurrence::RemoteRpc, caller,
+       callsite_id, st.seq);
+  if (oneway) {
+    note(Occurrence::OnewaySend, caller, callsite_id, st.seq);
   } else {
-    msg.payload.put_varint(scalars.size());
-    for (const std::int64_t s : scalars) msg.payload.put_i64(s);
+    // Caller-perceived Call span: from here to the reply's deserialization.
+    st.call_start_ns = span_start(caller);
+    std::scoped_lock lock(cctx.pending_mu);
+    PendingSlot& slot = cctx.pending[st.seq];
+    slot.dest = target.machine;
+    st.fut = slot.promise.get_future();
   }
-
   // Per-call marshaler machinery: generic stub vs generated code (§3.1).
   charge_stub(caller, site, args.size(), scalars.size());
 
-  const bool cycle_enabled = site.heavy || plan.needs_cycle_table;
+  if (!st.is_local) {
+    send_call(st, marshal(st, site, args, scalars, deadline));
+    return;
+  }
+  // A same-machine call replaces marshal and send with clone + run
+  // handler: RMI parameter-passing semantics must hold regardless of
+  // placement (§1), so the argument graphs are deep-cloned.  The local
+  // path is synchronous by construction (the handler runs inline on this
+  // thread), so the reply is awaited now and the future comes back ready.
+  DecodedCall call{.callsite_id = callsite_id, .seq = st.seq, .source = caller,
+                   .target_export = target.export_id, .deadline_ns = deadline,
+                   .oneway = oneway};
+  serial::SerialStats pass;
+  call.args.reserve(args.size());
+  for (om::ObjRef a : args) {
+    call.args.push_back(clone_counted(m.heap(), a, pass));
+  }
+  account(caller, callsite_id, pass, 1, 0);
+  try {
+    execute_call(caller, call, scalars);
+    if (!oneway) st.local_value = finish_call(st);
+  } catch (...) {
+    st.local_error = std::current_exception();
+  }
+}
+
+void RmiSystem::gate(const AsyncCallState& st, std::int64_t deadline,
+                     const char* why) {
+  // Fail fast at the first hop that cannot finish in time: do not
+  // serialize, do not send.
+  const std::int64_t now = cluster_.machine(st.caller).clock().now().as_nanos();
+  if (deadline == 0 || now < deadline) return;
+  note(Occurrence::DeadlineReject, st.caller, st.callsite_id, st.seq);
+  throw DeadlineExceeded(call_desc(st) + ": " + why);
+}
+
+void RmiSystem::admit(const AsyncCallState& st, std::int64_t deadline) {
+  // Admission control, evaluated against the callee's deterministic
+  // virtual-time inbox model *before* any work is invested in the call.
+  AdmissionController& adm = *contexts_.at(st.target.machine)->admission;
+  if (!adm.enabled()) return;
+  net::VirtualClock& clock = cluster_.machine(st.caller).clock();
+  const AdmissionController::Decision d = adm.admit(clock.now().as_nanos());
+  if (d.stall_ns > 0) {
+    // Backpressure: the flow-control credit delays this sender's
+    // virtual-time send, pacing it to the callee's capacity.
+    const std::int64_t stall_start = span_start(st.caller);
+    clock.advance(SimTime::nanos(d.stall_ns));
+    note(Occurrence::CreditStall, st.caller, st.callsite_id, st.seq,
+         stall_start);
+  }
+  if (!d.admitted) {
+    note(Occurrence::Shed, st.caller, st.callsite_id, st.seq);
+    throw Overload(call_desc(st) + " shed: inbox at its bound (" +
+                   std::to_string(exec_cfg_.inbox_bound) +
+                   "); retry with backoff");
+  }
+  // The stall consumed part of the budget; re-check before sending.
+  gate(st, deadline, "budget exhausted by flow-control backpressure");
+}
+
+wire::Message RmiSystem::marshal(AsyncCallState& st,
+                                 const CompiledCallSite& site,
+                                 std::span<const om::ObjRef> args,
+                                 std::span<const std::int64_t> scalars,
+                                 std::int64_t deadline) {
+  const serial::CallSitePlan& plan = *site.plan;
+  wire::Message msg;
+  msg.header = {.kind = wire::MsgKind::Call, .callsite_id = st.callsite_id,
+                .target_export = st.target.export_id, .seq = st.seq,
+                .source_machine = st.caller, .dest_machine = st.target.machine,
+                .flags = st.oneway ? wire::kFlagOneway : std::uint8_t{0},
+                .deadline_ns = deadline};
+
+  maybe_gather(msg, cluster_.cost(), site.heavy);
+  auto put_scalars = [&](auto& out) {
+    out.put_varint(scalars.size());
+    for (const std::int64_t s : scalars) out.put_i64(s);
+  };
+  if (msg.gathered) {
+    put_scalars(*msg.gathered);
+  } else {
+    put_scalars(msg.payload);
+  }
   serial::SerialStats pass;
   {
-    serial::SerialWriter w(
-        class_plans_, pass, cycle_enabled,
-        pass_trace(trace::EventKind::Serialize, caller, callsite_id, seq));
+    serial::SerialWriter w(class_plans_, pass,
+                           site.heavy || plan.needs_cycle_table,
+                           pass_trace(trace::EventKind::Serialize, st.caller,
+                                      st.callsite_id, st.seq));
     for (std::size_t i = 0; i < args.size(); ++i) {
-      if (site.heavy) {
-        w.write_introspective(msg.payload, args[i]);
-      } else if (msg.gathered) {
-        w.write(*msg.gathered, *plan.args[i], args[i]);
-      } else {
-        w.write(msg.payload, *plan.args[i], args[i]);
-      }
+      write_value(w, msg, site.heavy, plan.args[i].get(), args[i]);
     }
   }
   // Pin/fold borrowed spans *before* the caller can touch its argument
   // graphs again: from here on the payload image is frozen, so ARQ
   // retransmits and fault-plan copies stay byte-identical.
   msg.seal_gathered();
-  st->request_bytes = msg.payload_size();
-  charge(caller, pass);
-  cctx.stats.add_pass(pass);
-  add_site_pass(callsite_id, pass, 0, 1);
+  st.request_bytes = msg.payload_size();
+  account(st.caller, st.callsite_id, pass, 0, 1);
+  return msg;
+}
 
+void RmiSystem::send_call(AsyncCallState& st, wire::Message msg) {
   try {
     cluster_.send(std::move(msg));
   } catch (const MachineDeadError& e) {
     // The failure detector already confirmed the endpoint dead: fail the
     // call immediately with the typed form instead of waiting out the ARQ
     // retransmit budget.
-    {
-      std::scoped_lock lock(cctx.pending_mu);
-      cctx.pending.erase(seq);
-    }
-    cctx.stats.count_call_timeout();
-    cctx.stats.count_machine_down();
-    trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
+    erase_pending(*contexts_.at(st.caller), st.seq);  // oneway: a no-op
+    note(Occurrence::MachineDown, st.caller, st.callsite_id, st.seq);
     throw MachineDown(e.machine(),
-                      "call via " + site_desc(callsite_id) + " to machine " +
-                          std::to_string(target.machine) +
-                          " failed fast: " + e.what());
+                      call_desc(st) + " failed fast: " + e.what());
   } catch (const ProtocolError& e) {
     // The link's ARQ gave up: the callee is crashed or unreachable.  The
     // failure is synchronous (virtual-time timers, not wall-clock), so it
     // converts directly into the typed caller-visible form.
-    {
-      std::scoped_lock lock(cctx.pending_mu);
-      cctx.pending.erase(seq);
-    }
-    cctx.stats.count_call_timeout();
-    trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
-    throw RmiTimeout("call via " + site_desc(callsite_id) + " to machine " +
-                     std::to_string(target.machine) +
-                     " undeliverable: " + e.what());
+    erase_pending(*contexts_.at(st.caller), st.seq);
+    note(Occurrence::CallTimeout, st.caller, st.callsite_id, st.seq);
+    throw RmiTimeout(call_desc(st) + " undeliverable: " + e.what());
   }
-  return RmiFuture(std::move(st));
 }
 
-om::ObjRef RmiSystem::finish_remote(AsyncCallState& st) {
+om::ObjRef RmiSystem::finish_call(AsyncCallState& st) {
   const std::uint16_t caller = st.caller;
   const std::uint32_t callsite_id = st.callsite_id;
   const std::uint32_t seq = st.seq;
@@ -763,15 +805,11 @@ om::ObjRef RmiSystem::finish_remote(AsyncCallState& st) {
   // check the call hung until the retransmit budget drained (or forever on
   // a fault-free link).  Fail fast with a typed, recoverable error instead
   // — unless the reply is somehow already in hand.
-  if (exec_cfg_.dispatch_workers == 1 &&
+  if (!st.is_local && exec_cfg_.dispatch_workers == 1 &&
       std::this_thread::get_id() == cctx.dispatcher.get_id() &&
       st.fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-    {
-      std::scoped_lock lock(cctx.pending_mu);
-      cctx.pending.erase(seq);
-    }
-    cctx.stats.count_call_timeout();
-    trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
+    erase_pending(cctx, seq);
+    note(Occurrence::CallTimeout, caller, callsite_id, seq);
     // Best-effort: tell the callee not to bother computing the reply.
     send_cancel_raw(caller, st.target.machine, callsite_id, seq);
     throw NestedInvokeDeadlock(
@@ -783,468 +821,136 @@ om::ObjRef RmiSystem::finish_remote(AsyncCallState& st) {
         "/ invoke_async with the future consumed off the dispatcher thread.");
   }
 
-  PendingReply rep;
-  try {
-    rep = await_pending(cctx, caller, callsite_id, seq, std::move(st.fut),
-                        st.target.machine);
-  } catch (const RmiTimeout&) {
-    trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
-    throw;
+  PendingReply rep = await_pending(st);
+  if (rep.is_local) {
+    note(Occurrence::LocalCallDone, caller, callsite_id, seq,
+         st.call_start_ns);
+    return rep.local_value;
   }
-  RMIOPT_CHECK(!rep.is_local, "local reply on remote path");
-  if (rep.msg.header.kind == wire::MsgKind::Ack) {
-    trace_span(trace::EventKind::Call, caller, callsite_id, seq,
-               st.call_start_ns, st.request_bytes);
-    return nullptr;
-  }
-
-  const bool cycle_enabled = site.heavy || plan.needs_cycle_table;
   const std::uint64_t reply_bytes = rep.msg.payload.size();
-  serial::SerialStats rpass;
-  serial::SerialReader r(
-      class_plans_, m.heap(), rpass, cycle_enabled,
-      pass_trace(trace::EventKind::Deserialize, caller, callsite_id, seq));
-  // Zero-copy receive: a non-HEAVY reply decoded from a pinned frame may
-  // borrow its large primitive-array rows instead of copying them out.
-  if (cluster_.cost().zero_copy_receive && !site.heavy) {
-    r.enable_borrow(cluster_.cost().gather_min_borrow_bytes);
-  }
   om::ObjRef value = nullptr;
-  if (site.heavy) {
-    value = r.read_introspective(rep.msg.payload);
-  } else if (plan.reuse_ret) {
-    ReuseSlot& slot = reuse_slot(cctx, /*ret_side=*/true, callsite_id, 1);
-    om::ObjRef cached = nullptr;
-    {
-      std::scoped_lock lock(slot.mu);
-      cached = slot.cached[0];
-      slot.cached[0] = nullptr;  // multithreading guard (Fig. 13)
+  if (rep.msg.header.kind != wire::MsgKind::Ack) {  // an Ack has no body
+    serial::SerialStats rpass;
+    serial::SerialReader r(
+        class_plans_, m.heap(), rpass, site.heavy || plan.needs_cycle_table,
+        pass_trace(trace::EventKind::Deserialize, caller, callsite_id, seq));
+    // Zero-copy receive: a non-HEAVY reply decoded from a pinned frame may
+    // borrow its large primitive-array rows instead of copying them out.
+    if (cluster_.cost().zero_copy_receive && !site.heavy) {
+      r.enable_borrow(cluster_.cost().gather_min_borrow_bytes);
     }
-    value = r.read_reusing(rep.msg.payload, *plan.ret, cached);
-    {
-      std::scoped_lock lock(slot.mu);
-      slot.cached[0] = value;
+    if (site.heavy) {
+      value = r.read_introspective(rep.msg.payload);
+    } else if (plan.reuse_ret) {
+      ReuseSlot& slot = reuse_slot(cctx, /*ret_side=*/true, callsite_id, 1);
+      om::ObjRef cached = nullptr;
+      {
+        std::scoped_lock lock(slot.mu);
+        cached = slot.cached[0];
+        slot.cached[0] = nullptr;  // multithreading guard (Fig. 13)
+      }
+      value = r.read_reusing(rep.msg.payload, *plan.ret, cached);
+      {
+        std::scoped_lock lock(slot.mu);
+        slot.cached[0] = value;
+      }
+    } else {
+      value = r.read(rep.msg.payload, *plan.ret);
     }
-  } else {
-    value = r.read(rep.msg.payload, *plan.ret);
+    account(caller, callsite_id, rpass);
   }
-  charge(caller, rpass);
-  cctx.stats.add_pass(rpass);
-  add_site_pass(callsite_id, rpass);
-  trace_span(trace::EventKind::Call, caller, callsite_id, seq,
-             st.call_start_ns, st.request_bytes + reply_bytes);
+  note(Occurrence::CallDone, caller, callsite_id, seq, st.call_start_ns,
+       st.request_bytes + reply_bytes);
   return value;
 }
 
-void RmiSystem::invoke_oneway(std::uint16_t caller, RemoteRef target,
-                              std::uint32_t callsite_id,
-                              std::span<const om::ObjRef> args,
-                              std::span<const std::int64_t> scalars,
-                              const CallOptions& opts) {
-  const CompiledCallSite& site = callsite(callsite_id);
-  const serial::CallSitePlan& plan = *site.plan;
-  RMIOPT_CHECK(args.size() == plan.args.size(),
-               "argument count does not match call-site plan");
-  const std::uint32_t seq = next_seq_.fetch_add(1);
-  MachineContext& cctx = *contexts_.at(caller);
-  net::Machine& m = cluster_.machine(caller);
-
-  const std::int64_t deadline =
-      compute_deadline(m.clock().now().as_nanos(), opts);
-  if (deadline != 0 && m.clock().now().as_nanos() >= deadline) {
-    cctx.stats.count_deadline_reject();
-    trace_instant(trace::EventKind::DeadlineReject, caller, callsite_id,
-                  seq);
-    throw DeadlineExceeded("oneway call via " + site_desc(callsite_id) +
-                           " to machine " + std::to_string(target.machine) +
-                           ": budget exhausted before the send");
-  }
-
-  if (target.machine == caller) {
-    // Local fire-and-forget: clone (copy semantics, §1), run inline,
-    // discard the outcome.  The oneway token suppresses every reply path,
-    // including a handler's deferred send_reply.
-    cctx.stats.count_local_rpc();
-    cctx.stats.count_oneway_call();
-    trace_instant(trace::EventKind::OnewaySend, caller, callsite_id, seq);
-    charge_stub(caller, site, args.size(), scalars.size());
-
-    serial::SerialStats pass;
-    std::vector<om::ObjRef> cloned;
-    cloned.reserve(args.size());
-    for (om::ObjRef a : args) {
-      om::ObjRef c = a ? om::deep_clone(m.heap(), a) : nullptr;
-      const om::GraphExtent ext = om::graph_extent(c);
-      pass.objects_allocated += ext.objects;
-      pass.bytes_allocated += ext.bytes;
-      pass.bytes_copied += ext.bytes;
-      cloned.push_back(c);
-    }
-    charge(caller, pass);
-    cctx.stats.add_pass(pass);
-    add_site_pass(callsite_id, pass, 1, 0);
-
-    om::ObjRef self = nullptr;
-    {
-      std::scoped_lock lock(cctx.exports_mu);
-      RMIOPT_CHECK(target.export_id < cctx.exports.size(),
-                   "unknown export id");
-      self = cctx.exports[target.export_id];
-    }
-    ReplyToken token{callsite_id, seq, caller, caller};
-    token.oneway = true;
-    CallContext cc(*this, m, self, token, deadline);
-    m.clock().advance(SimTime::nanos(cluster_.cost().upcall_dispatch_ns));
-    HandlerResult res;
-    try {
-      AmbientDeadlineScope scope(deadline);
-      res = methods_[site.method_id].second(cc, scalars, cloned);
-    } catch (const Error& e) {
-      res = HandlerResult::exception(e.what());
-    }
-    if (!res.deferred) {
-      if (res.is_exception) {
-        send_exception(token, res.error);  // oneway: swallowed
-      } else {
-        send_reply(token, res.value, res.give_ownership);
-      }
-    }
-    if (!res.args_consumed) {
-      serial::SerialStats freep;
-      free_arg_graphs(m.heap(), cloned, freep);
-      charge(caller, freep);
-      cctx.stats.add_pass(freep);
-      add_site_pass(callsite_id, freep);
-    }
-    return;
-  }
-
-  // Remote fire-and-forget: same admission and pricing as invoke_async,
-  // but no pending slot — nothing will ever come back.
-  AdmissionController& adm = *contexts_.at(target.machine)->admission;
-  if (adm.enabled()) {
-    const AdmissionController::Decision d =
-        adm.admit(m.clock().now().as_nanos());
-    if (d.stall_ns > 0) {
-      trace::Recorder* const rec = recorder();
-      const std::int64_t stall_start =
-          rec != nullptr ? m.clock().now().as_nanos() : 0;
-      m.clock().advance(SimTime::nanos(d.stall_ns));
-      cctx.stats.count_credit_stall();
-      trace_span(trace::EventKind::CreditStall, caller, callsite_id, seq,
-                 stall_start);
-    }
-    if (!d.admitted) {
-      cctx.stats.count_shed();
-      trace_instant(trace::EventKind::OverloadShed, caller, callsite_id,
-                    seq);
-      throw Overload("oneway call via " + site_desc(callsite_id) +
-                     " to machine " + std::to_string(target.machine) +
-                     " shed: inbox at its bound (" +
-                     std::to_string(exec_cfg_.inbox_bound) +
-                     "); retry with backoff");
-    }
-  }
-
-  cctx.stats.count_remote_rpc();
-  cctx.stats.count_oneway_call();
-  trace_instant(trace::EventKind::OnewaySend, caller, callsite_id, seq);
-
-  wire::Message msg;
-  msg.header.kind = wire::MsgKind::Call;
-  msg.header.callsite_id = callsite_id;
-  msg.header.target_export = target.export_id;
-  msg.header.seq = seq;
-  msg.header.source_machine = caller;
-  msg.header.dest_machine = target.machine;
-  msg.header.flags = wire::kFlagOneway;
-  msg.header.deadline_ns = deadline;
-
-  // Same gathered-send gate as invoke_async: oneway bodies borrow inline
-  // primitive-array rows when the knob is on.
-  const serial::CostModel& cmodel = cluster_.cost();
-  if (cmodel.zero_copy_send && !site.heavy) {
-    msg.gathered = std::make_shared<support::GatherBuffer>(
-        cmodel.gather_min_borrow_bytes, cmodel.gather_pin_copy_threshold);
-    msg.gathered->put_varint(scalars.size());
-    for (const std::int64_t s : scalars) msg.gathered->put_i64(s);
-  } else {
-    msg.payload.put_varint(scalars.size());
-    for (const std::int64_t s : scalars) msg.payload.put_i64(s);
-  }
-  charge_stub(caller, site, args.size(), scalars.size());
-
-  const bool cycle_enabled = site.heavy || plan.needs_cycle_table;
-  serial::SerialStats pass;
-  {
-    serial::SerialWriter w(
-        class_plans_, pass, cycle_enabled,
-        pass_trace(trace::EventKind::Serialize, caller, callsite_id, seq));
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      if (site.heavy) {
-        w.write_introspective(msg.payload, args[i]);
-      } else if (msg.gathered) {
-        w.write(*msg.gathered, *plan.args[i], args[i]);
-      } else {
-        w.write(msg.payload, *plan.args[i], args[i]);
-      }
-    }
-  }
-  msg.seal_gathered();
-  charge(caller, pass);
-  cctx.stats.add_pass(pass);
-  add_site_pass(callsite_id, pass, 0, 1);
-
-  try {
-    cluster_.send(std::move(msg));
-  } catch (const MachineDeadError& e) {
-    cctx.stats.count_call_timeout();
-    cctx.stats.count_machine_down();
-    trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
-    throw MachineDown(e.machine(),
-                      "oneway call via " + site_desc(callsite_id) +
-                          " to machine " + std::to_string(target.machine) +
-                          " failed fast: " + e.what());
-  } catch (const ProtocolError& e) {
-    cctx.stats.count_call_timeout();
-    trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
-    throw RmiTimeout("oneway call via " + site_desc(callsite_id) +
-                     " to machine " + std::to_string(target.machine) +
-                     " undeliverable: " + e.what());
-  }
-}
-
-om::ObjRef RmiSystem::invoke_local(std::uint16_t caller, RemoteRef target,
-                                   const CompiledCallSite& site,
-                                   std::span<const om::ObjRef> args,
-                                   std::span<const std::int64_t> scalars,
-                                   std::uint32_t seq,
-                                   std::int64_t deadline_ns) {
-  MachineContext& cctx = *contexts_.at(caller);
-  net::Machine& m = cluster_.machine(caller);
-  cctx.stats.count_local_rpc();
-  trace::Recorder* const rec = recorder();
-  const std::int64_t call_start_ns =
-      rec != nullptr ? m.clock().now().as_nanos() : 0;
-  auto fut = register_pending(cctx, seq, caller).get_future();
-  charge_stub(caller, site, args.size(), scalars.size());
-
-  // RMI parameter-passing semantics must hold regardless of placement
-  // (§1): clone the argument graphs.
-  serial::SerialStats pass;
-  std::vector<om::ObjRef> cloned;
-  cloned.reserve(args.size());
-  for (om::ObjRef a : args) {
-    om::ObjRef c = a ? om::deep_clone(m.heap(), a) : nullptr;
-    const om::GraphExtent ext = om::graph_extent(c);
-    pass.objects_allocated += ext.objects;
-    pass.bytes_allocated += ext.bytes;
-    pass.bytes_copied += ext.bytes;
-    cloned.push_back(c);
-  }
-  charge(caller, pass);
-  cctx.stats.add_pass(pass);
-  add_site_pass(site.plan->id, pass, 1, 0);
-
-  om::ObjRef self = nullptr;
-  {
-    std::scoped_lock lock(cctx.exports_mu);
-    RMIOPT_CHECK(target.export_id < cctx.exports.size(),
-                 "unknown export id");
-    self = cctx.exports[target.export_id];
-  }
-  const ReplyToken token{site.plan->id, seq, caller, caller};
-  CallContext cc(*this, m, self, token, deadline_ns);
-  m.clock().advance(SimTime::nanos(cluster_.cost().upcall_dispatch_ns));
-  HandlerResult res;
-  try {
-    // Nested invokes from inside this handler inherit the remaining
-    // budget (minus slack) through the ambient deadline.
-    AmbientDeadlineScope scope(deadline_ns);
-    res = methods_[site.method_id].second(cc, scalars, cloned);
-  } catch (const Error& e) {
-    res = HandlerResult::exception(e.what());
-  }
-
-  // Reply first: the return value may alias the argument graphs, so the
-  // arguments stay live until the reply is out (as a GC would ensure).
-  if (!res.deferred) {
-    if (res.is_exception) {
-      send_exception(token, res.error);
-    } else {
-      send_reply(token, res.value, res.give_ownership);
-    }
-  }
-  if (!res.args_consumed) {
-    serial::SerialStats freep;
-    free_arg_graphs(m.heap(), cloned, freep);
-    charge(caller, freep);
-    cctx.stats.add_pass(freep);
-    add_site_pass(site.plan->id, freep);
-  }
-
-  PendingReply rep =
-      await_pending(cctx, caller, site.plan->id, seq, std::move(fut), caller);
-  RMIOPT_CHECK(rep.is_local, "remote reply on local path");
-  trace_span(trace::EventKind::LocalCall, caller, site.plan->id, seq,
-             call_start_ns);
-  return rep.local_value;
-}
+// ---- replies ----------------------------------------------------------------
 
 void RmiSystem::send_reply(const ReplyToken& token, om::ObjRef value,
                            bool give_ownership) {
-  const CompiledCallSite& site = callsite(token.callsite_id);
-  const serial::CallSitePlan& plan = *site.plan;
-  net::Machine& callee = cluster_.machine(token.callee_machine);
-  MachineContext& callee_ctx = *contexts_.at(token.callee_machine);
-  const bool has_ret = plan.ret != nullptr;
+  answer(token, wire::MsgKind::Return, value, give_ownership);
+}
 
-  if (token.oneway) {
-    // Fire-and-forget: nothing goes on the wire and nobody is fulfilled.
-    // Free a per-call return value, and record completion in the
-    // at-most-once cache so a duplicate is suppressed (silently — the
-    // cached marker is never replayed for oneway calls).
-    if (give_ownership && value != nullptr) {
-      serial::SerialStats pass;
-      const om::GraphExtent ext = om::graph_extent(value);
-      callee.heap().free_graph(value);
-      pass.objects_freed += ext.objects;
-      charge(token.callee_machine, pass);
-      callee_ctx.stats.add_pass(pass);
-      add_site_pass(token.callsite_id, pass);
-    }
-    if (token.caller_machine != token.callee_machine) {
-      wire::Message done;
-      done.header.kind = wire::MsgKind::Ack;
-      done.header.callsite_id = token.callsite_id;
-      done.header.seq = token.seq;
-      done.header.source_machine = token.callee_machine;
-      done.header.dest_machine = token.caller_machine;
-      cache_reply(callee_ctx, call_key(token.caller_machine, token.seq),
-                  done);
-    }
-    return;
-  }
+void RmiSystem::send_exception(const ReplyToken& token, std::string message) {
+  answer(token, wire::MsgKind::Exception, nullptr, false, message);
+}
 
-  if (token.caller_machine == token.callee_machine) {
-    // Local reply: clone the return graph (copy semantics, §1).
-    om::ObjRef result = nullptr;
-    serial::SerialStats pass;
-    if (has_ret && value != nullptr) {
-      result = om::deep_clone(callee.heap(), value);
-      const om::GraphExtent ext = om::graph_extent(result);
-      pass.objects_allocated += ext.objects;
-      pass.bytes_allocated += ext.bytes;
-      pass.bytes_copied += ext.bytes;
-    }
-    if (give_ownership && value != nullptr) {
-      const om::GraphExtent ext = om::graph_extent(value);
-      callee.heap().free_graph(value);
-      pass.objects_freed += ext.objects;
-    }
-    charge(token.callee_machine, pass);
-    callee_ctx.stats.add_pass(pass);
-    add_site_pass(token.callsite_id, pass);
-
-    PendingReply rep;
-    rep.is_local = true;
-    rep.local_value = result;
-    fulfill_pending(callee_ctx, token.seq, std::move(rep));
-    return;
-  }
-
+void RmiSystem::answer(const ReplyToken& token, wire::MsgKind kind,
+                       om::ObjRef value, bool give_ownership,
+                       const std::string& text, wire::RejectCode code) {
+  const std::uint16_t callee_id = token.callee_machine;
+  MachineContext& callee_ctx = *contexts_.at(callee_id);
+  om::Heap& heap = cluster_.machine(callee_id).heap();
+  const bool local = token.caller_machine == callee_id;
   wire::Message reply;
-  reply.header.kind = has_ret ? wire::MsgKind::Return : wire::MsgKind::Ack;
-  reply.header.callsite_id = token.callsite_id;
-  reply.header.seq = token.seq;
-  reply.header.source_machine = token.callee_machine;
-  reply.header.dest_machine = token.caller_machine;
-  reply.coalesce_hint = site.batch_replies;
-
+  reply.header = {.kind = kind, .callsite_id = token.callsite_id,
+                  .seq = token.seq, .source_machine = callee_id,
+                  .dest_machine = token.caller_machine};
+  om::ObjRef local_value = nullptr;
   serial::SerialStats pass;
-  if (has_ret) {
-    const serial::CostModel& cmodel = cluster_.cost();
-    if (cmodel.zero_copy_send && !site.heavy) {
-      reply.gathered = std::make_shared<support::GatherBuffer>(
-          cmodel.gather_min_borrow_bytes, cmodel.gather_pin_copy_threshold);
+  if (token.oneway && kind != wire::MsgKind::Reject) {
+    // Fire-and-forget: the outcome has nowhere to go.  The tombstone is a
+    // bare "done" marker, so a duplicate is suppressed, never re-run.
+    reply.header.kind = wire::MsgKind::Ack;
+  } else if (kind == wire::MsgKind::Return) {
+    const CompiledCallSite& site = callsite(token.callsite_id);
+    const serial::CallSitePlan& plan = *site.plan;
+    const bool has_ret = plan.ret != nullptr;
+    if (local && has_ret && value != nullptr) {
+      local_value = clone_counted(heap, value, pass);  // local reply
+    } else if (!local) {
+      reply.header.kind = has_ret ? wire::MsgKind::Return : wire::MsgKind::Ack;
+      reply.coalesce_hint = site.batch_replies;
+      if (has_ret) {
+        maybe_gather(reply, cluster_.cost(), site.heavy);
+        serial::SerialWriter w(class_plans_, pass,
+                               site.heavy || plan.needs_cycle_table,
+                               pass_trace(trace::EventKind::Serialize,
+                                          callee_id, token.callsite_id,
+                                          token.seq));
+        write_value(w, reply, site.heavy, plan.ret.get(), value);
+      }
+      // Seal before the give_ownership free below and before the reply
+      // cache takes its copy: borrowed spans may alias `value`'s payload
+      // rows, and from here the frame image must be frozen (replayed
+      // duplicates and ARQ retransmits must match the first transmission
+      // byte for byte).
+      reply.seal_gathered();
     }
-    const bool cycle_enabled = site.heavy || plan.needs_cycle_table;
-    serial::SerialWriter w(class_plans_, pass, cycle_enabled,
-                           pass_trace(trace::EventKind::Serialize,
-                                      token.callee_machine,
-                                      token.callsite_id, token.seq));
-    if (site.heavy) {
-      w.write_introspective(reply.payload, value);
-    } else if (reply.gathered) {
-      w.write(*reply.gathered, *plan.ret, value);
-    } else {
-      w.write(reply.payload, *plan.ret, value);
-    }
+  } else if (kind == wire::MsgKind::Exception) {
+    reply.payload.put_string(text);
+  } else {
+    reply.payload.put_u8(static_cast<std::uint8_t>(code));
+    reply.payload.put_string(text);
   }
-  // Seal before the give_ownership free below and before the reply cache
-  // takes its copy: borrowed spans may alias `value`'s payload rows, and
-  // from here the frame image must be frozen (replayed duplicates and ARQ
-  // retransmits must match the first transmission byte for byte).
-  reply.seal_gathered();
-  if (give_ownership && value != nullptr) {
-    const om::GraphExtent ext = om::graph_extent(value);
-    callee.heap().free_graph(value);
-    pass.objects_freed += ext.objects;
+  // A per-call return value is freed once the reply no longer needs it —
+  // also when the reply is a oneway tombstone or a cancellation Reject.
+  if (give_ownership) free_graphs(heap, std::span(&value, 1), pass);
+  account(callee_id, token.callsite_id, pass);
+
+  if (local) {
+    if (token.oneway) return;
+    PendingReply rep{.is_local = true, .local_value = local_value,
+                     .is_exception = kind != wire::MsgKind::Return,
+                     .error = text};
+    // Local-path replies are produced by the runtime itself, so a missing
+    // entry here is a programmer error, not network noise.
+    RMIOPT_CHECK(try_fulfill_pending(callee_ctx, token.seq, std::move(rep)),
+                 "reply without matching call");
+    return;
   }
-  charge(token.callee_machine, pass);
-  callee_ctx.stats.add_pass(pass);
-  add_site_pass(token.callsite_id, pass);
-  // At-most-once: keep the serialized reply so a duplicate of this call
-  // can be answered by replay instead of re-executing the handler.
+  // At-most-once: keep the reply (or the oneway tombstone) so a duplicate
+  // of this call is answered by replay instead of re-executing the handler.
   cache_reply(callee_ctx, call_key(token.caller_machine, token.seq), reply);
+  if (token.oneway) return;  // nobody is waiting
   try {
     cluster_.send(std::move(reply));
   } catch (const ProtocolError&) {
     // The caller's machine is unreachable; the call has already executed,
     // so all we can do is count the lost reply.  A surviving caller will
     // surface its own RmiTimeout.
-    callee_ctx.stats.count_undeliverable_reply();
-  }
-}
-
-void RmiSystem::send_exception(const ReplyToken& token, std::string message) {
-  if (token.oneway) {
-    // Fire-and-forget: the exception has nowhere to go.  Record
-    // completion so a duplicate of the call is suppressed, not re-run.
-    if (token.caller_machine != token.callee_machine) {
-      wire::Message done;
-      done.header.kind = wire::MsgKind::Ack;
-      done.header.callsite_id = token.callsite_id;
-      done.header.seq = token.seq;
-      done.header.source_machine = token.callee_machine;
-      done.header.dest_machine = token.caller_machine;
-      cache_reply(*contexts_.at(token.callee_machine),
-                  call_key(token.caller_machine, token.seq), done);
-    }
-    return;
-  }
-  if (token.caller_machine == token.callee_machine) {
-    PendingReply rep;
-    rep.is_local = true;
-    rep.is_exception = true;
-    rep.error = std::move(message);
-    fulfill_pending(*contexts_.at(token.callee_machine), token.seq,
-                    std::move(rep));
-    return;
-  }
-  wire::Message reply;
-  reply.header.kind = wire::MsgKind::Exception;
-  reply.header.callsite_id = token.callsite_id;
-  reply.header.seq = token.seq;
-  reply.header.source_machine = token.callee_machine;
-  reply.header.dest_machine = token.caller_machine;
-  reply.payload.put_string(message);
-  MachineContext& callee_ctx = *contexts_.at(token.callee_machine);
-  cache_reply(callee_ctx, call_key(token.caller_machine, token.seq), reply);
-  try {
-    cluster_.send(std::move(reply));
-  } catch (const ProtocolError&) {
-    callee_ctx.stats.count_undeliverable_reply();
+    note(Occurrence::UndeliverableReply, callee_id, token.callsite_id,
+         token.seq);
   }
 }
 
@@ -1260,33 +966,28 @@ void RmiSystem::dispatch_loop(std::uint16_t machine_id) {
       // At-most-once: a duplicate of a call already executing is dropped;
       // a duplicate of a call already answered gets the cached reply
       // re-sent verbatim (the handler never runs twice).  A duplicate of
-      // a oneway call is suppressed silently — its completion marker is
-      // never a real reply.
+      // a oneway call is dropped too — its completion marker is never a
+      // real reply.
       const std::uint64_t key = call_key(h.source_machine, h.seq);
       wire::Message replay;
-      switch (admit_call(machine_id, ctx, key, &replay)) {
-        case CallAdmission::InProgress:
-          ctx.stats.count_duplicate_call();
-          trace_instant(trace::EventKind::DuplicateDropped, machine_id,
-                        h.callsite_id, h.seq);
-          continue;
-        case CallAdmission::Replied:
-          ctx.stats.count_duplicate_call();
-          if (oneway) continue;
-          ctx.stats.count_replayed_reply();
-          trace_instant(trace::EventKind::ReplyReplayed, machine_id,
-                        h.callsite_id, h.seq);
-          try {
-            cluster_.send(std::move(replay));
-          } catch (const ProtocolError&) {
-            ctx.stats.count_undeliverable_reply();
-          }
-          continue;
-        case CallAdmission::Fresh:
-          break;
+      const CallAdmission admission = admit_call(machine_id, ctx, key, &replay);
+      if (admission == CallAdmission::InProgress ||
+          (admission == CallAdmission::Replied && oneway)) {
+        note(Occurrence::DuplicateDropped, machine_id, h.callsite_id, h.seq);
+        continue;
       }
-      ReplyToken token{h.callsite_id, h.seq, h.source_machine, machine_id};
-      token.oneway = oneway;
+      if (admission == CallAdmission::Replied) {
+        note(Occurrence::ReplyReplayed, machine_id, h.callsite_id, h.seq);
+        try {
+          cluster_.send(std::move(replay));
+        } catch (const ProtocolError&) {
+          note(Occurrence::UndeliverableReply, machine_id, h.callsite_id,
+               h.seq);
+        }
+        continue;
+      }
+      const ReplyToken token{h.callsite_id, h.seq, h.source_machine,
+                             machine_id, oneway};
       if (h.callsite_id >= callsites_.size()) {
         // Externally-derived index: answer with a typed remote exception
         // instead of bringing the callee down.
@@ -1299,12 +1000,11 @@ void RmiSystem::dispatch_loop(std::uint16_t machine_id) {
       // is wasted.  The Reject is cached as the call's tombstone.
       if (h.deadline_ns != 0 &&
           m.clock().now().as_nanos() >= h.deadline_ns) {
-        ctx.stats.count_deadline_reject();
-        trace_instant(trace::EventKind::DeadlineReject, machine_id,
-                      h.callsite_id, h.seq);
-        reject_remote_call(ctx, token, wire::RejectCode::DeadlineExceeded,
-                           "deadline expired before dispatch at " +
-                               site_desc(h.callsite_id));
+        note(Occurrence::DeadlineReject, machine_id, h.callsite_id, h.seq);
+        answer(token, wire::MsgKind::Reject, nullptr, false,
+               "deadline expired before dispatch at " +
+                   site_desc(h.callsite_id),
+               wire::RejectCode::DeadlineExceeded);
         continue;
       }
       // Deserialize on the dispatcher (the unmarshaler lock discipline of
@@ -1331,7 +1031,7 @@ void RmiSystem::dispatch_loop(std::uint16_t machine_id) {
         ctx.cancel_tokens[key] = call->cancel;
       }
       ctx.executor->execute([this, machine_id, call] {
-        execute_call(machine_id, std::move(*call));
+        execute_call(machine_id, *call, call->scalars);
       });
       continue;
     }
@@ -1362,10 +1062,9 @@ void RmiSystem::dispatch_loop(std::uint16_t machine_id) {
     const std::uint32_t seq = h.seq;
     rep.msg = std::move(env->msg);
     if (try_fulfill_pending(ctx, seq, std::move(rep))) {
-      trace_instant(trace::EventKind::ReplyDeliver, machine_id,
-                    h.callsite_id, seq);
+      note(Occurrence::ReplyDeliver, machine_id, h.callsite_id, seq);
     } else {
-      ctx.stats.count_stray_reply();
+      note(Occurrence::StrayReply, machine_id, h.callsite_id, seq);
     }
   }
 }
@@ -1432,148 +1131,98 @@ RmiSystem::DecodedCall RmiSystem::decode_call(std::uint16_t machine_id,
       call.args[i] = reader.read(env.msg.payload, *plan.args[i]);
     }
   }
-  charge(machine_id, pass);
-  ctx.stats.add_pass(pass);
-  add_site_pass(h.callsite_id, pass);
+  account(machine_id, h.callsite_id, pass);
   return call;
 }
 
-void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall call) {
+void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall& call,
+                             std::span<const std::int64_t> scalars) {
   net::Machine& m = cluster_.machine(machine_id);
   MachineContext& ctx = *contexts_.at(machine_id);
   const CompiledCallSite& site = callsite(call.callsite_id);
+  const bool local = call.source == machine_id;
   m.clock().advance(SimTime::nanos(cluster_.cost().upcall_dispatch_ns));
 
-  ReplyToken token{call.callsite_id, call.seq, call.source, machine_id};
-  token.oneway = call.oneway;
-  const std::uint64_t key = call_key(call.source, call.seq);
-  // The cancellation flag is only live while the call is here: once the
-  // reply (or reject) is decided, a late cancel has lost the race.
-  auto drop_cancel_token = [&] {
-    if (!call.cancel) return;
-    std::scoped_lock lock(ctx.cancel_mu);
-    ctx.cancel_tokens.erase(key);
-  };
-  // Put the decoded arguments back where they belong without running the
-  // handler: reinsert into the reuse slot (§3.3) or free the graphs.
-  auto release_args = [&] {
-    if (call.reuse) {
-      std::scoped_lock lock(call.slot->mu);
-      call.slot->cached = call.args;
-    } else {
-      serial::SerialStats freep;
-      free_arg_graphs(m.heap(), call.args, freep);
-      charge(machine_id, freep);
-      ctx.stats.add_pass(freep);
-      add_site_pass(call.callsite_id, freep);
-    }
-  };
-
-  // Reuse-slot boundary poll #1: a call cancelled (or expired) while it
-  // sat in the executor queue is refused without running the handler.
-  if (call.cancel && call.cancel->requested()) {
-    ctx.stats.count_cancel_honored();
-    trace_instant(trace::EventKind::CancelHonored, machine_id,
-                  call.callsite_id, call.seq);
-    reject_remote_call(ctx, token, wire::RejectCode::Cancelled,
-                       "cancelled before execution at " +
-                           site_desc(call.callsite_id));
-    release_args();
-    drop_cancel_token();
-    return;
-  }
-  if (call.deadline_ns != 0 &&
-      m.clock().now().as_nanos() >= call.deadline_ns) {
-    ctx.stats.count_deadline_reject();
-    trace_instant(trace::EventKind::DeadlineReject, machine_id,
-                  call.callsite_id, call.seq);
-    reject_remote_call(ctx, token, wire::RejectCode::DeadlineExceeded,
-                       "deadline expired before execution at " +
-                           site_desc(call.callsite_id));
-    release_args();
-    drop_cancel_token();
-    return;
-  }
-
-  om::ObjRef self = nullptr;
-  bool bad_export = false;
-  {
-    std::scoped_lock lock(ctx.exports_mu);
-    // Externally-derived index: a bad export id becomes a remote
-    // exception at the caller, not a callee abort.
-    if (call.target_export < ctx.exports.size()) {
-      self = ctx.exports[call.target_export];
-    } else {
-      bad_export = true;
-    }
-  }
-  CallContext cc(*this, m, self, token, call.deadline_ns,
-                 call.cancel.get());
-  trace::Recorder* const rec = recorder();
-  const std::int64_t handler_start_ns =
-      rec != nullptr ? m.clock().now().as_nanos() : 0;
+  const ReplyToken token{call.callsite_id, call.seq, call.source, machine_id,
+                         call.oneway};
   HandlerResult res;
-  // A nested invoke that failed fast on deadline or admission propagates
-  // its *typed* verdict to this call's caller (as a Reject, which the
-  // caller maps back), so a deep chain fails with the true reason.
-  bool propagate_reject = false;
-  wire::RejectCode propagate_code = wire::RejectCode::DeadlineExceeded;
-  if (bad_export) {
-    res = HandlerResult::exception("unknown export id " +
-                                   std::to_string(call.target_export));
+  // How the call is answered; a Reject carries `code` and res.error.
+  wire::MsgKind kind = wire::MsgKind::Return;
+  wire::RejectCode code = wire::RejectCode::Cancelled;
+  // Reuse-slot boundary poll #1 (remote calls only — a local call has no
+  // cancel token and already passed the caller's gate): a call cancelled
+  // (or expired) while it sat in the executor queue is refused without
+  // running the handler.
+  if (call.cancel && call.cancel->requested()) {
+    note(Occurrence::CancelHonored, machine_id, call.callsite_id, call.seq);
+    kind = wire::MsgKind::Reject;
+    res.error = "cancelled before execution at " + site_desc(call.callsite_id);
+  } else if (!local && call.deadline_ns != 0 &&
+             m.clock().now().as_nanos() >= call.deadline_ns) {
+    note(Occurrence::DeadlineReject, machine_id, call.callsite_id, call.seq);
+    kind = wire::MsgKind::Reject;
+    code = wire::RejectCode::DeadlineExceeded;
+    res.error = "deadline expired before execution at " +
+                site_desc(call.callsite_id);
   } else {
+    const std::int64_t handler_start_ns = local ? 0 : span_start(machine_id);
     try {
+      om::ObjRef self = nullptr;
+      {
+        std::scoped_lock lock(ctx.exports_mu);
+        // Externally-derived index: a bad export id becomes a remote
+        // exception at the caller, not a callee abort.
+        if (call.target_export >= ctx.exports.size()) {
+          throw Error("unknown export id " +
+                      std::to_string(call.target_export));
+        }
+        self = ctx.exports[call.target_export];
+      }
+      CallContext cc(*this, m, self, token, call.deadline_ns,
+                     call.cancel.get());
       // Nested invokes inherit the remaining budget via the ambient
       // deadline (minus ExecutorConfig::deadline_slack_ns per hop).
       AmbientDeadlineScope scope(call.deadline_ns);
-      res = methods_[site.method_id].second(cc, call.scalars, call.args);
+      res = methods_[site.method_id].second(cc, scalars, call.args);
+      if (res.is_exception) kind = wire::MsgKind::Exception;
     } catch (const DeadlineExceeded& e) {
-      propagate_reject = true;
-      propagate_code = wire::RejectCode::DeadlineExceeded;
+      // A nested invoke that failed fast on deadline or admission
+      // propagates its *typed* verdict to this call's caller (as a Reject,
+      // which the caller maps back), so a deep chain fails with the true
+      // reason.  A local caller sees any failure as a RemoteException.
       res = HandlerResult::exception(e.what());
+      kind = wire::MsgKind::Reject;
+      code = wire::RejectCode::DeadlineExceeded;
     } catch (const Overload& e) {
-      propagate_reject = true;
-      propagate_code = wire::RejectCode::Overload;
       res = HandlerResult::exception(e.what());
+      kind = wire::MsgKind::Reject;
+      code = wire::RejectCode::Overload;
     } catch (const Error& e) {
       res = HandlerResult::exception(e.what());
+      kind = wire::MsgKind::Exception;
+    }
+    if (!local) {
+      note(Occurrence::HandlerRun, machine_id, call.callsite_id, call.seq,
+           handler_start_ns);
+    }
+    // Reuse-slot boundary poll #2: a cancel that arrived while the handler
+    // ran abandons the computed reply — the caller is gone; the tombstone
+    // answers any duplicate with Cancelled instead of re-execution.
+    if (!res.deferred && call.cancel && call.cancel->requested()) {
+      note(Occurrence::CancelHonored, machine_id, call.callsite_id, call.seq);
+      kind = wire::MsgKind::Reject;
+      code = wire::RejectCode::Cancelled;
+      res.error = "reply abandoned after cancellation at " +
+                  site_desc(call.callsite_id);
     }
   }
-  trace_span(trace::EventKind::HandlerRun, machine_id, call.callsite_id,
-             call.seq, handler_start_ns);
 
   // Reply first: the return value may alias the argument graphs, so the
   // arguments stay live until the reply is serialized (as a GC would
   // ensure).  Handlers whose *deferred* reply uses argument data must set
   // args_consumed and manage the graphs themselves.
-  //
-  // Reuse-slot boundary poll #2: a cancel that arrived while the handler
-  // ran abandons the computed reply — the caller is gone; the tombstone
-  // answers any duplicate with Cancelled instead of re-execution.
   if (!res.deferred) {
-    if (call.cancel && call.cancel->requested()) {
-      ctx.stats.count_cancel_honored();
-      trace_instant(trace::EventKind::CancelHonored, machine_id,
-                    call.callsite_id, call.seq);
-      if (res.give_ownership && res.value != nullptr) {
-        serial::SerialStats pass;
-        const om::GraphExtent ext = om::graph_extent(res.value);
-        m.heap().free_graph(res.value);
-        pass.objects_freed += ext.objects;
-        charge(machine_id, pass);
-        ctx.stats.add_pass(pass);
-        add_site_pass(call.callsite_id, pass);
-      }
-      reject_remote_call(ctx, token, wire::RejectCode::Cancelled,
-                         "reply abandoned after cancellation at " +
-                             site_desc(call.callsite_id));
-    } else if (propagate_reject) {
-      reject_remote_call(ctx, token, propagate_code, res.error);
-    } else if (res.is_exception) {
-      send_exception(token, res.error);
-    } else {
-      send_reply(token, res.value, res.give_ownership);
-    }
+    answer(token, kind, res.value, res.give_ownership, res.error, code);
   }
   if (call.reuse) {
     RMIOPT_CHECK(!res.args_consumed,
@@ -1582,22 +1231,15 @@ void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall call) {
     call.slot->cached = call.args;  // retain for the next invocation (§3.3)
   } else if (!res.args_consumed) {
     serial::SerialStats freep;
-    free_arg_graphs(m.heap(), call.args, freep);
-    charge(machine_id, freep);
-    ctx.stats.add_pass(freep);
-    add_site_pass(call.callsite_id, freep);
+    free_graphs(m.heap(), call.args, freep);
+    account(machine_id, call.callsite_id, freep);
   }
-  drop_cancel_token();
-}
-
-void RmiSystem::add_site_pass(std::uint32_t callsite_id,
-                              const serial::SerialStats& pass,
-                              int local_rpcs, int remote_rpcs) {
-  std::scoped_lock lock(site_stats_mu_);
-  RmiStatsSnapshot& s = site_stats_[callsite_id];
-  s.serial += pass;
-  s.local_rpcs += static_cast<std::uint64_t>(local_rpcs);
-  s.remote_rpcs += static_cast<std::uint64_t>(remote_rpcs);
+  // The cancellation flag is only live while the call is here: once the
+  // reply (or reject) is decided, a late cancel has lost the race.
+  if (call.cancel) {
+    std::scoped_lock lock(ctx.cancel_mu);
+    ctx.cancel_tokens.erase(call_key(call.source, call.seq));
+  }
 }
 
 RmiStatsSnapshot RmiSystem::callsite_stats(std::uint32_t callsite_id) const {

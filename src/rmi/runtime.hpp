@@ -15,6 +15,17 @@
 //    and return value are deep-cloned to preserve RMI's copy semantics
 //    (paper §1) and counted as local rpcs.
 //
+// One call pipeline (docs/CODEMAP.md).  invoke, invoke_async and
+// invoke_oneway, remote or local, all run the same ordered stages: gate
+// (deadline) → admit (admission, credit stall, re-gate) → marshal → send
+// → await → unmarshal.  A call kind only skips stages: a oneway call has
+// no pending slot, await or unmarshal, and a same-machine call replaces
+// marshal and send with clone + run handler.  On the callee,
+// execute_call() is the one place a user handler runs and answer() the
+// one reply routine.  Every counted or traced occurrence goes through
+// note(), which bumps the counter and records the trace event from one
+// table (docs/OBSERVABILITY.md), so the two cannot disagree.
+//
 // Per optimization level, the driver installs a CompiledCallSite for every
 // static call site: the marshal plan (class-mode or call-site-specific),
 // the needs-cycle-table flag, and the reuse flags.  The runtime simply
@@ -293,8 +304,9 @@ class RmiSystem {
   // Synchronous RMI from `caller` to `target` — a thin wrapper over
   // invoke_async(...).get(), so there is exactly one code path.  Returns
   // the deserialized return value: caller-owned, EXCEPT at reuse_ret call
-  // sites where the runtime retains ownership and recycles the graph on
-  // the next call.
+  // sites where the runtime retains ownership, recycles the graph on the
+  // next call through the site and frees it in ~RmiSystem (not in stop(),
+  // so a value the caller still holds stays valid until destruction).
   om::ObjRef invoke(std::uint16_t caller, RemoteRef target,
                     std::uint32_t callsite_id,
                     std::span<const om::ObjRef> args,
@@ -425,8 +437,8 @@ class RmiSystem {
     std::unique_ptr<DispatchExecutor> executor;
   };
 
-  // An incoming call after the dispatcher deserialized it: everything the
-  // executor needs to run the handler on any thread.
+  // A call ready to run — decoded by the dispatcher (remote) or cloned by
+  // the caller (local): everything execute_call needs on any thread.
   struct DecodedCall {
     std::uint32_t callsite_id = 0;
     std::uint32_t seq = 0;
@@ -441,30 +453,66 @@ class RmiSystem {
     std::shared_ptr<CancelToken> cancel;  // polled at reuse-slot boundaries
   };
 
+  // ---- the caller-side pipeline -------------------------------------------
+  // Runs every stage a call kind does not skip, in order; `st` carries the
+  // call from the first stage to its result.  A same-machine call runs
+  // inline and leaves its outcome in `st` (the returned future is ready).
+  void issue(AsyncCallState& st, std::uint16_t caller, RemoteRef target,
+             std::uint32_t callsite_id, bool oneway,
+             std::span<const om::ObjRef> args,
+             std::span<const std::int64_t> scalars, const CallOptions& opts);
+  // Gate: a call whose deadline has already passed fails fast, typed,
+  // before anything is serialized or sent.
+  void gate(const AsyncCallState& st, std::int64_t deadline, const char* why);
+  // Admit: admission control against the callee's inbox model — credit
+  // stall, shed, then the gate again (the stall consumed budget).
+  void admit(const AsyncCallState& st, std::int64_t deadline);
+  // Marshal: header, scalar prologue, writer, seal and accounting.
+  wire::Message marshal(AsyncCallState& st, const CompiledCallSite& site,
+                        std::span<const om::ObjRef> args,
+                        std::span<const std::int64_t> scalars,
+                        std::int64_t deadline);
+  // Send: hands the Call to the cluster, mapping MachineDeadError and
+  // ProtocolError to the typed MachineDown / RmiTimeout.
+  void send_call(AsyncCallState& st, wire::Message msg);
+  // Await + unmarshal (RmiFuture::get, or inline for a local call).
+  om::ObjRef finish_call(AsyncCallState& st);
+  // Blocks until the reply arrives.  With a failure detector attached the
+  // real-time wait is sliced so a blocked caller periodically polls the
+  // detector at the cluster makespan and fails over with MachineDown as
+  // soon as the callee is confirmed dead (its burning ARQ advances virtual
+  // time even when the caller's own thread is parked).  A Reject reply is
+  // mapped here to its typed exception (DeadlineExceeded / Overload /
+  // Cancelled); a real-time backstop expiry sends a best-effort cancel
+  // before throwing so the callee can stop computing an unread reply.
+  PendingReply await_pending(AsyncCallState& st);
+  // "call seq S via site N (...) to machine M" ("oneway call ..." too).
+  std::string call_desc(const AsyncCallState& st) const;
+
+  // ---- the callee side ---------------------------------------------------
   void dispatch_loop(std::uint16_t machine_id);
   // Dispatcher side: deserialize the call while "holding the network"
   // (the unmarshaler-lock discipline of §4).
   DecodedCall decode_call(std::uint16_t machine_id, net::Envelope env);
-  // Executor side: run the handler, reply, and release/retain arguments.
-  void execute_call(std::uint16_t machine_id, DecodedCall call);
-  om::ObjRef invoke_local(std::uint16_t caller, RemoteRef target,
-                          const CompiledCallSite& site,
-                          std::span<const om::ObjRef> args,
-                          std::span<const std::int64_t> scalars,
-                          std::uint32_t seq, std::int64_t deadline_ns);
-  // The blocking half of a remote call (RmiFuture::get): await the reply
-  // and deserialize it on the caller's clock.
-  om::ObjRef finish_remote(AsyncCallState& st);
+  // The one place a user handler runs — on the executor for a remote call,
+  // inline for a local one: cancel/deadline polls (remote only), export
+  // lookup, the ambient deadline, Error → exception mapping, then reply
+  // first and release or retain the arguments after.
+  void execute_call(std::uint16_t machine_id, DecodedCall& call,
+                    std::span<const std::int64_t> scalars);
+  // The one reply routine: `kind` is Return (a value, or an Ack when the
+  // site returns nothing), Exception (`text`) or Reject (`code`, `text`).
+  // A local reply fulfills the pending slot; a remote one is cached as the
+  // at-most-once record and sent.  A oneway call only records its
+  // tombstone (a bare Ack, or the Reject): nobody is waiting.
+  void answer(const ReplyToken& token, wire::MsgKind kind, om::ObjRef value,
+              bool give_ownership, const std::string& text = {},
+              wire::RejectCode code = wire::RejectCode::Cancelled);
   // Best-effort CancelRequest for an in-flight remote call.  Never
   // throws: an undeliverable cancel just means the callee computes a
   // reply the caller will drop as a stray.
   void send_cancel_raw(std::uint16_t caller, std::uint16_t dest,
                        std::uint32_t callsite_id, std::uint32_t seq);
-  // Callee side: refuse (or abandon) a remote call with a typed Reject.
-  // Caches the reject as the call's at-most-once tombstone, then sends it
-  // as the reply — except for oneway calls, where nobody is waiting.
-  void reject_remote_call(MachineContext& ctx, const ReplyToken& token,
-                          wire::RejectCode code, const std::string& reason);
   // The absolute deadline a call starting at `now_ns` carries: explicit
   // budget or configured default, tightened by the ambient parent
   // deadline minus slack when invoked from inside a handler.  0 = none.
@@ -475,42 +523,35 @@ class RmiSystem {
   std::string site_desc(std::uint32_t callsite_id) const;
   ReuseSlot& reuse_slot(MachineContext& ctx, bool ret_side,
                         std::uint32_t callsite_id, std::size_t arity);
-  void charge(std::uint16_t machine_id, const serial::SerialStats& pass);
+  // Frees every graph cached in the argument (or return-value) reuse
+  // slots, the union per machine exactly once.
+  void free_reuse_caches(bool ret_side);
+  // Charges `pass` to the machine's clock and adds it (plus rpc counts) to
+  // the machine's and the call site's statistics.
+  void account(std::uint16_t machine_id, std::uint32_t callsite_id,
+               const serial::SerialStats& pass, int local_rpcs = 0,
+               int remote_rpcs = 0);
   // Per-call marshaler/skeleton machinery: generic stubs additionally box
   // every argument/scalar/return value (§1's "method table lookups and
   // skeleton indirections").
   void charge_stub(std::uint16_t machine_id, const CompiledCallSite& site,
                    std::size_t nargs, std::size_t nscalars);
-  void free_arg_graphs(om::Heap& heap, std::span<const om::ObjRef> args,
-                       serial::SerialStats& pass);
-  std::promise<PendingReply>& register_pending(MachineContext& ctx,
-                                               std::uint32_t seq,
-                                               std::uint16_t dest);
-  void fulfill_pending(MachineContext& ctx, std::uint32_t seq,
-                       PendingReply reply);
-  // Dispatcher-facing variant: a reply whose call is not pending (a stray
-  // from the network) is reported as false, never fatal.  Fulfillment
-  // erases the entry, so a second reply for the same seq — e.g. a late
-  // real reply after fail_pending_to already failed the call — is a
-  // counted stray, never a write to a consumed promise.
+  // Frees the union of the graphs under `roots` (call arguments, or a
+  // give_ownership return value), counting the frees into `pass`.
+  void free_graphs(om::Heap& heap, std::span<const om::ObjRef> roots,
+                   serial::SerialStats& pass);
+  void erase_pending(MachineContext& ctx, std::uint32_t seq);
+  // Dispatcher-facing: a reply whose call is not pending (a stray from
+  // the network) is reported as false, never fatal.  Fulfillment erases
+  // the entry, so a second reply for the same seq — e.g. a late real
+  // reply after fail_pending_to already failed the call — is a counted
+  // stray, never a write to a consumed promise.
   bool try_fulfill_pending(MachineContext& ctx, std::uint32_t seq,
                            PendingReply reply);
   // Fails every pending call addressed to `machine` with machine_down —
   // the failure detector's death callback, releasing callers already
   // blocked before the death was confirmed.
   void fail_pending_to(std::uint16_t machine);
-  // Blocks until the reply arrives.  With a failure detector attached the
-  // real-time wait is sliced so a blocked caller periodically polls the
-  // detector at the cluster makespan and fails over with MachineDown as
-  // soon as `dest` is confirmed dead (its burning ARQ advances virtual
-  // time even when the caller's own thread is parked).  A Reject reply is
-  // mapped here to its typed exception (DeadlineExceeded / Overload /
-  // Cancelled); a real-time backstop expiry sends a best-effort cancel
-  // before throwing so the callee can stop computing an unread reply.
-  PendingReply await_pending(MachineContext& ctx, std::uint16_t caller,
-                             std::uint32_t callsite_id, std::uint32_t seq,
-                             std::future<PendingReply> fut,
-                             std::uint16_t dest);
 
   // ---- at-most-once ---------------------------------------------------------
   static constexpr std::uint64_t call_key(std::uint16_t caller,
@@ -531,25 +572,32 @@ class RmiSystem {
   void cache_reply(MachineContext& ctx, std::uint64_t key,
                    const wire::Message& reply);
 
-  void add_site_pass(std::uint32_t callsite_id, const serial::SerialStats& pass,
-                     int local_rpcs = 0, int remote_rpcs = 0);
-
-  // ---- tracing --------------------------------------------------------------
+  // ---- occurrences: counters and trace events ----------------------------
+  // Everything the runtime counts or traces.  note() looks each one up in
+  // one table that names its RmiStats counter(s) and its trace event.
+  enum class Occurrence : std::uint8_t {
+    LocalRpc, RemoteRpc, OnewaySend, CallDone, LocalCallDone, HandlerRun,
+    ReplyDeliver, StrayReply, UndeliverableReply, CallTimeout, MachineDown,
+    DeadlineReject, Shed, CreditStall, CancelSent, CancelHonored,
+    DuplicateDropped, ReplyReplayed, ReplyCachePinned,
+  };
+  // Bumps the occurrence's always-on counter(s) and, with a recorder
+  // attached, records its event on `machine_id`'s track: an instant at the
+  // current clock, or a span from `start_ns` (taken with span_start).
+  void note(Occurrence what, std::uint16_t machine_id,
+            std::uint32_t callsite_id, std::uint32_t seq,
+            std::int64_t start_ns = 0, std::uint64_t bytes = 0);
+  // The start of a span note()d later: the machine's clock with a
+  // recorder attached, else 0 — the null-recorder path reads no clock.
+  std::int64_t span_start(std::uint16_t machine_id) const;
   // The recorder attached to the cluster (nullptr when tracing is off —
-  // the default; every emission site checks before building an Event).
+  // the default).
   trace::Recorder* recorder() const { return cluster_.recorder(); }
   // Builds the pass-trace context for a SerialWriter/SerialReader: null
   // recorder yields an inert context (no clock read, nothing recorded).
   trace::PassTrace pass_trace(trace::EventKind kind, std::uint16_t machine_id,
                               std::uint32_t callsite_id,
                               std::uint32_t seq) const;
-  // Instant event on `machine_id`'s machine track at its current clock.
-  void trace_instant(trace::EventKind kind, std::uint16_t machine_id,
-                     std::uint32_t callsite_id, std::uint32_t seq) const;
-  // Span on `machine_id`'s machine track from virtual `start_ns` to now.
-  void trace_span(trace::EventKind kind, std::uint16_t machine_id,
-                  std::uint32_t callsite_id, std::uint32_t seq,
-                  std::int64_t start_ns, std::uint64_t bytes = 0) const;
 
   net::Cluster& cluster_;
   const ExecutorConfig exec_cfg_;

@@ -90,69 +90,18 @@ struct RmiStatsSnapshot {
 
 class RmiStats {
  public:
-  void count_local_rpc() {
+  using Counter = std::uint64_t RmiStatsSnapshot::*;
+
+  // Bumps `counter` and, when given, `also` — an occurrence may imply a
+  // second counter (a MachineDown is also a call timeout).
+  void count(Counter counter, Counter also = nullptr) {
     std::scoped_lock lock(mu_);
-    ++snap_.local_rpcs;
-  }
-  void count_remote_rpc() {
-    std::scoped_lock lock(mu_);
-    ++snap_.remote_rpcs;
+    ++(snap_.*counter);
+    if (also != nullptr) ++(snap_.*also);
   }
   void add_pass(const serial::SerialStats& pass) {
     std::scoped_lock lock(mu_);
     snap_.serial += pass;
-  }
-  void count_duplicate_call() {
-    std::scoped_lock lock(mu_);
-    ++snap_.duplicate_calls;
-  }
-  void count_replayed_reply() {
-    std::scoped_lock lock(mu_);
-    ++snap_.replayed_replies;
-  }
-  void count_stray_reply() {
-    std::scoped_lock lock(mu_);
-    ++snap_.stray_replies;
-  }
-  void count_call_timeout() {
-    std::scoped_lock lock(mu_);
-    ++snap_.call_timeouts;
-  }
-  void count_machine_down() {
-    std::scoped_lock lock(mu_);
-    ++snap_.machine_down_failures;
-  }
-  void count_undeliverable_reply() {
-    std::scoped_lock lock(mu_);
-    ++snap_.undeliverable_replies;
-  }
-  void count_reply_cache_pin() {
-    std::scoped_lock lock(mu_);
-    ++snap_.reply_cache_pins;
-  }
-  void count_deadline_reject() {
-    std::scoped_lock lock(mu_);
-    ++snap_.deadline_rejects;
-  }
-  void count_cancel_sent() {
-    std::scoped_lock lock(mu_);
-    ++snap_.cancels_sent;
-  }
-  void count_cancel_honored() {
-    std::scoped_lock lock(mu_);
-    ++snap_.cancels_honored;
-  }
-  void count_shed() {
-    std::scoped_lock lock(mu_);
-    ++snap_.sheds;
-  }
-  void count_credit_stall() {
-    std::scoped_lock lock(mu_);
-    ++snap_.credit_stalls;
-  }
-  void count_oneway_call() {
-    std::scoped_lock lock(mu_);
-    ++snap_.oneway_calls;
   }
 
   RmiStatsSnapshot snapshot() const {

@@ -183,6 +183,9 @@ TEST_F(ExecutorRmiTest, DeferredRepliesReleaseConcurrentCallers) {
   });
   a.join();
   b.join();
+  // The releasing handler may still be clearing `waiting` after both
+  // replies went out: join it before this frame's locals are destroyed.
+  sys.stop();
   EXPECT_EQ(returned.load(), 2);
 }
 

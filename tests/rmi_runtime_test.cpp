@@ -278,6 +278,42 @@ TEST_F(RmiTest, ReuseRetRecyclesReturnGraphAtCaller) {
   EXPECT_EQ(sys.stats(0).serial.objects_reused, 1u);
 }
 
+// The runtime owns the caller-side return graph at a reuse_ret site: it
+// must stay valid past stop() (the caller may still hold it) and be freed
+// when the system is destroyed.
+TEST(RmiLifetime, ReturnReuseGraphsAreFreedWithTheSystem) {
+  om::TypeRegistry types;
+  const ClassId point = types.define_class("Point", {{"x", TypeKind::Double}});
+  net::Cluster cluster(2, types);
+  om::Heap& caller_heap = cluster.machine(0).heap();
+  const std::uint64_t before = caller_heap.stats().live_objects();
+  {
+    RmiSystem sys(cluster, types);
+    const auto mid = sys.define_method(
+        "get", [&](CallContext& ctx, auto, auto) {
+          return HandlerResult{.value = ctx.heap().alloc(point),
+                               .give_ownership = true};
+        });
+    CompiledCallSite cs;
+    cs.method_id = mid;
+    cs.plan = std::make_unique<serial::CallSitePlan>();
+    cs.plan->name = "get#0";
+    cs.plan->ret = std::make_unique<serial::NodePlan>();
+    cs.plan->ret->expected_class = point;
+    cs.plan->needs_cycle_table = false;
+    cs.plan->reuse_ret = true;
+    const auto site = sys.add_callsite(std::move(cs));
+    const RemoteRef ref =
+        sys.export_object(1, cluster.machine(1).heap().alloc(point));
+    sys.start();
+    const ObjRef r1 = sys.invoke(0, ref, site, {});
+    EXPECT_EQ(sys.invoke(0, ref, site, {}), r1);
+    sys.stop();
+    EXPECT_EQ(caller_heap.stats().live_objects(), before + 1);  // still the caller's
+  }
+  EXPECT_EQ(caller_heap.stats().live_objects(), before);
+}
+
 TEST_F(RmiTest, DeferredReplyCompletesLater) {
   // A two-party barrier: first caller's reply is deferred until the second
   // arrives.

@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -69,6 +74,317 @@ TEST(Trace, CallSpansMatchTheRmiCounters) {
   EXPECT_TRUE(rec.events_of(trace::EventKind::DedupDrop).empty());
   EXPECT_TRUE(rec.events_of(trace::EventKind::CallTimeout).empty());
 }
+
+// Every counted occurrence that also has a trace event must report the
+// two in agreement: each scenario drives one occurrence on a small
+// two- or three-machine system with a recorder attached, then every
+// counter is compared with the number of its events.
+class OccurrenceRig {
+ public:
+  explicit OccurrenceRig(trace::Recorder* rec, std::size_t machines = 2,
+                         const rmi::ExecutorConfig& exec = {},
+                         const net::FaultPlan& faults = {},
+                         const net::FailureDetectorConfig& detector = {})
+      : cluster(machines, types, {}, net::TransportKind::Sim, {}, faults,
+                detector),
+        sys(cluster, types, exec) {
+    cluster.set_recorder(rec);  // before any traffic flows
+  }
+
+  std::uint32_t site(rmi::Handler handler) {
+    rmi::CompiledCallSite cs;
+    cs.method_id = sys.define_method("occ", std::move(handler));
+    cs.plan = std::make_unique<serial::CallSitePlan>();
+    cs.plan->name = "occ.site";
+    return sys.add_callsite(std::move(cs));
+  }
+  rmi::RemoteRef ref(std::uint16_t machine) {
+    return sys.export_object(machine,
+                             cluster.machine(machine).heap().alloc_string("x"));
+  }
+  // An argument-free Call as if an end-to-end duplicate of `seq` had
+  // slipped past the transport dedup.
+  void inject_duplicate(std::uint32_t site, rmi::RemoteRef to,
+                        std::uint32_t seq, bool oneway) {
+    wire::Message m;
+    m.header = {.kind = wire::MsgKind::Call, .callsite_id = site,
+                .target_export = to.export_id, .seq = seq,
+                .source_machine = 0, .dest_machine = to.machine,
+                .flags = oneway ? wire::kFlagOneway : std::uint8_t{0}};
+    m.payload.put_varint(0);  // no scalars
+    cluster.send(std::move(m));
+  }
+  // Dispatchers process injected messages asynchronously: poll (real
+  // time, generous bound) before stopping.
+  void wait_until(const std::function<bool()>& done) {
+    for (int i = 0; i < 5000 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(done());
+  }
+  rmi::RmiStatsSnapshot finish() {
+    sys.stop();
+    return sys.total_stats();
+  }
+
+  om::TypeRegistry types;
+  net::Cluster cluster;
+  rmi::RmiSystem sys;
+};
+
+rmi::HandlerResult noop(rmi::CallContext&, std::span<const std::int64_t>,
+                        std::span<const om::ObjRef>) {
+  return {};
+}
+
+// A handler that parks until opened, then burns `burn_ns` of its
+// machine's virtual time.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;
+  bool open = false;
+
+  rmi::Handler handler(std::int64_t burn_ns) {
+    return [this, burn_ns](rmi::CallContext& ctx, auto, auto) {
+      std::unique_lock lock(mu);
+      ++entered;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(10), [&] { return open; });
+      ctx.machine().clock().advance(SimTime::nanos(burn_ns));
+      return rmi::HandlerResult{};
+    };
+  }
+  void await_entered(int n) {
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return entered == n; }));
+  }
+  void release() {
+    std::scoped_lock lock(mu);
+    open = true;
+    cv.notify_all();
+  }
+};
+
+net::FaultPlan duplicating_plan() {
+  net::FaultPlan plan;
+  plan.seed = 7;
+  plan.set_link(0, 1, {.duplicate = 1.0});
+  return plan;
+}
+
+struct OccurrenceScenario {
+  const char* name;
+  std::uint64_t rmi::RmiStatsSnapshot::*exercised;  // must end up nonzero
+  rmi::RmiStatsSnapshot (*run)(trace::Recorder*);
+};
+
+void PrintTo(const OccurrenceScenario& s, std::ostream* os) { *os << s.name; }
+
+const OccurrenceScenario kOccurrenceScenarios[] = {
+    {"CallerSideDeadlineReject", &rmi::RmiStatsSnapshot::deadline_rejects,
+     [](trace::Recorder* rec) {
+       OccurrenceRig rig(rec, 3);
+       const rmi::RemoteRef inner_ref = rig.ref(2);
+       const auto inner = rig.site(noop);
+       // The outer handler burns its whole budget, then fans out: the
+       // nested call is refused at its own send.
+       const auto outer = rig.site([&](rmi::CallContext& ctx, auto, auto) {
+         ctx.machine().clock().advance(SimTime::millis(10));
+         rig.sys.invoke(1, inner_ref, inner, {});
+         return rmi::HandlerResult{};
+       });
+       const rmi::RemoteRef outer_ref = rig.ref(1);
+       rig.sys.start();
+       EXPECT_THROW(rig.sys.invoke(0, outer_ref, outer, {}, {},
+                                   rmi::CallOptions{.budget_ns = 1'000'000}),
+                    rmi::DeadlineExceeded);
+       return rig.finish();
+     }},
+    {"CalleeSideDeadlineReject", &rmi::RmiStatsSnapshot::deadline_rejects,
+     [](trace::Recorder* rec) {
+       OccurrenceRig rig(rec);
+       const auto site = rig.site(noop);
+       const rmi::RemoteRef ref = rig.ref(1);
+       rig.sys.start();
+       rig.cluster.machine(1).clock().advance(SimTime::millis(50));
+       EXPECT_THROW(rig.sys.invoke(0, ref, site, {}, {},
+                                   rmi::CallOptions{.budget_ns = 1'000}),
+                    rmi::DeadlineExceeded);
+       return rig.finish();
+     }},
+    {"ExecutorSideDeadlineReject", &rmi::RmiStatsSnapshot::deadline_rejects,
+     [](trace::Recorder* rec) {
+       // Both workers park; a budgeted call queues behind them and its
+       // deadline passes while the parked handlers burn the callee's
+       // clock, so the worker that picks it up refuses it.
+       rmi::ExecutorConfig exec;
+       exec.dispatch_workers = 2;
+       OccurrenceRig rig(rec, 2, exec);
+       Gate gate;
+       const auto park = rig.site(gate.handler(50'000'000));
+       const auto site = rig.site(noop);
+       const rmi::RemoteRef ref = rig.ref(1);
+       rig.sys.start();
+       rmi::RmiFuture f1 = rig.sys.invoke_async(0, ref, park, {});
+       rmi::RmiFuture f2 = rig.sys.invoke_async(0, ref, park, {});
+       gate.await_entered(2);
+       rmi::RmiFuture f3 =
+           rig.sys.invoke_async(0, ref, site, {}, {},
+                                rmi::CallOptions{.budget_ns = 1'000'000});
+       std::this_thread::sleep_for(std::chrono::milliseconds(100));
+       gate.release();
+       f1.get();
+       f2.get();
+       EXPECT_THROW(f3.get(), rmi::DeadlineExceeded);
+       return rig.finish();
+     }},
+    {"Shed", &rmi::RmiStatsSnapshot::sheds,
+     [](trace::Recorder* rec) {
+       rmi::ExecutorConfig exec;
+       exec.inbox_bound = 1;
+       exec.credit_stall_ns = 0;
+       exec.admission_service_ns = SimTime::seconds(1).as_nanos();
+       OccurrenceRig rig(rec, 2, exec);
+       const auto site = rig.site(noop);
+       const rmi::RemoteRef ref = rig.ref(1);
+       rig.sys.start();
+       rig.sys.invoke_oneway(0, ref, site, {});
+       EXPECT_THROW(rig.sys.invoke_oneway(0, ref, site, {}), rmi::Overload);
+       EXPECT_THROW(rig.sys.invoke(0, ref, site, {}), rmi::Overload);
+       return rig.finish();
+     }},
+    {"CreditStall", &rmi::RmiStatsSnapshot::credit_stalls,
+     [](trace::Recorder* rec) {
+       rmi::ExecutorConfig exec;
+       exec.inbox_bound = 4;
+       exec.inbox_highwater = 2;
+       exec.admission_service_ns = SimTime::seconds(1).as_nanos();
+       OccurrenceRig rig(rec, 2, exec);
+       const auto site = rig.site(noop);
+       const rmi::RemoteRef ref = rig.ref(1);
+       rig.sys.start();
+       for (int i = 0; i < 4; ++i) rig.sys.invoke_oneway(0, ref, site, {});
+       return rig.finish();
+     }},
+    {"CancelSentAndHonored", &rmi::RmiStatsSnapshot::cancels_honored,
+     [](trace::Recorder* rec) {
+       rmi::ExecutorConfig exec;
+       exec.dispatch_workers = 2;  // the dispatcher stays free for the Cancel
+       OccurrenceRig rig(rec, 2, exec);
+       // The handler parks until the Cancel has flagged its call, so the
+       // worker's poll after the handler always sees it.
+       std::atomic<bool> entered{false};
+       const auto park = rig.site([&](rmi::CallContext& ctx, auto, auto) {
+         entered = true;
+         for (int i = 0; i < 10'000 && !ctx.cancelled(); ++i) {
+           std::this_thread::sleep_for(std::chrono::milliseconds(1));
+         }
+         return rmi::HandlerResult{};
+       });
+       const rmi::RemoteRef ref = rig.ref(1);
+       rig.sys.start();
+       rmi::RmiFuture f = rig.sys.invoke_async(0, ref, park, {});
+       rig.wait_until([&] { return entered.load(); });
+       f.cancel();
+       EXPECT_THROW(f.get(), rmi::Cancelled);
+       return rig.finish();
+     }},
+    {"InProgressDuplicate", &rmi::RmiStatsSnapshot::duplicate_calls,
+     [](trace::Recorder* rec) {
+       OccurrenceRig rig(rec, 2, {}, duplicating_plan());
+       const auto site = rig.site([](rmi::CallContext&, auto, auto) {
+         return rmi::HandlerResult{.deferred = true};  // never replies
+       });
+       const rmi::RemoteRef ref = rig.ref(1);
+       rig.sys.start();
+       rig.inject_duplicate(site, ref, 77, /*oneway=*/false);
+       rig.inject_duplicate(site, ref, 77, /*oneway=*/false);
+       rig.wait_until([&] { return rig.sys.stats(1).duplicate_calls >= 1; });
+       return rig.finish();
+     }},
+    {"ReplayedDuplicate", &rmi::RmiStatsSnapshot::replayed_replies,
+     [](trace::Recorder* rec) {
+       OccurrenceRig rig(rec, 2, {}, duplicating_plan());
+       const auto site = rig.site(noop);
+       const rmi::RemoteRef ref = rig.ref(1);
+       rig.sys.start();
+       rig.sys.invoke(0, ref, site, {});  // the system's first call: seq 1
+       rig.inject_duplicate(site, ref, 1, /*oneway=*/false);
+       rig.wait_until([&] { return rig.sys.stats(0).stray_replies >= 1; });
+       return rig.finish();
+     }},
+    {"OnewayDuplicate", &rmi::RmiStatsSnapshot::duplicate_calls,
+     [](trace::Recorder* rec) {
+       // The duplicate arrives after the oneway call completed (one
+       // worker runs it inline before the dispatcher reads on), so it
+       // meets the call's tombstone rather than an in-progress entry.
+       OccurrenceRig rig(rec, 2, {}, duplicating_plan());
+       const auto site = rig.site(noop);
+       const rmi::RemoteRef ref = rig.ref(1);
+       rig.sys.start();
+       rig.sys.invoke_oneway(0, ref, site, {});  // seq 1
+       rig.inject_duplicate(site, ref, 1, /*oneway=*/true);
+       rig.wait_until([&] { return rig.sys.stats(1).duplicate_calls >= 1; });
+       return rig.finish();
+     }},
+    {"OnewaySend", &rmi::RmiStatsSnapshot::oneway_calls,
+     [](trace::Recorder* rec) {
+       OccurrenceRig rig(rec);
+       const auto site = rig.site(noop);
+       const rmi::RemoteRef remote = rig.ref(1);
+       const rmi::RemoteRef local = rig.ref(0);
+       rig.sys.start();
+       rig.sys.invoke_oneway(0, remote, site, {});
+       rig.sys.invoke_oneway(0, remote, site, {});
+       rig.sys.invoke_oneway(0, local, site, {});
+       return rig.finish();
+     }},
+    {"MachineDown", &rmi::RmiStatsSnapshot::machine_down_failures,
+     [](trace::Recorder* rec) {
+       net::FaultPlan faults;
+       faults.crash_at(1, 0);
+       net::FailureDetectorConfig detector;
+       detector.enabled = true;
+       OccurrenceRig rig(rec, 3, {}, faults, detector);
+       const auto site = rig.site(noop);
+       const rmi::RemoteRef ref = rig.ref(1);
+       rig.sys.start();
+       EXPECT_THROW(rig.sys.invoke(0, ref, site, {}), rmi::MachineDown);
+       EXPECT_THROW(rig.sys.invoke_oneway(0, ref, site, {}), rmi::RmiTimeout);
+       return rig.finish();
+     }},
+};
+
+class CountersMatchEvents
+    : public ::testing::TestWithParam<OccurrenceScenario> {};
+
+TEST_P(CountersMatchEvents, EveryCounterEqualsItsTraceEvents) {
+  trace::MemoryRecorder rec;
+  const rmi::RmiStatsSnapshot s = GetParam().run(&rec);
+  EXPECT_GT(s.*GetParam().exercised, 0u);
+  auto n = [&](trace::EventKind k) {
+    return static_cast<std::uint64_t>(rec.events_of(k).size());
+  };
+  using E = trace::EventKind;
+  EXPECT_EQ(s.deadline_rejects, n(E::DeadlineReject));
+  EXPECT_EQ(s.sheds, n(E::OverloadShed));
+  EXPECT_EQ(s.credit_stalls, n(E::CreditStall));
+  EXPECT_EQ(s.cancels_sent, n(E::CancelSent));
+  EXPECT_EQ(s.cancels_honored, n(E::CancelHonored));
+  EXPECT_EQ(s.oneway_calls, n(E::OnewaySend));
+  EXPECT_EQ(s.call_timeouts, n(E::CallTimeout));
+  EXPECT_EQ(s.reply_cache_pins, n(E::ReplyCachePinned));
+  EXPECT_EQ(s.replayed_replies, n(E::ReplyReplayed));
+  EXPECT_EQ(s.duplicate_calls, n(E::DuplicateDropped) + n(E::ReplyReplayed));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Trace, CountersMatchEvents, ::testing::ValuesIn(kOccurrenceScenarios),
+    [](const ::testing::TestParamInfo<OccurrenceScenario>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Trace, SerializePassesCarryRealTimeAndVirtualCost) {
   trace::MemoryRecorder rec;
