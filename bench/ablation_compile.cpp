@@ -1,8 +1,9 @@
 // Compile-pipeline ablation: what does the pass manager's memoization buy
 // across the full app x level matrix, and is it *safe*?
 //
-// For every one of the five application models and the five paper levels
-// this binary compiles three times:
+// For every paper program (each examples/miniparty/*.mp file, lowered by
+// the frontend) and the five paper levels this binary compiles three
+// times:
 //
 //   cold    — one-shot driver::compile (no caches at all),
 //   shared  — through one PassManager (analyses shared across levels/apps,
@@ -20,6 +21,7 @@
 // run: the exported CallSiteProfile demotes a reuse site the run invoked
 // too rarely and promotes a hot ACK-only site to batched replies, while
 // the untouched sites are cloned without re-running any pass.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -52,15 +54,13 @@ int main(int argc, char** argv) {
   }
 
   struct AppModel {
-    const char* name;
+    std::string name;
     apps::figures::FigureProgram model;
   };
   std::vector<AppModel> models;
-  models.push_back({"linkedlist", apps::figures::make_figure14()});
-  models.push_back({"array2d", apps::figures::make_figure12()});
-  models.push_back({"lu", apps::figures::make_lu_model()});
-  models.push_back({"superopt", apps::figures::make_superopt_model()});
-  models.push_back({"webserver", apps::figures::make_webserver_model()});
+  for (const auto& [file, text] : apps::figures::sources()) {
+    models.push_back({std::string(file), frontend::compile_source(text)});
+  }
 
   driver::PassManager pm;  // shared analyses + plan cache for the matrix
   bool mismatch = false;
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
         if (render(*got, *app.model.types) != want) {
           std::fprintf(stderr,
                        "FAIL: %s @ %s: cached compile differs from cold\n",
-                       app.name,
+                       app.name.c_str(),
                        std::string(codegen::to_string(level)).c_str());
           mismatch = true;
         }
@@ -95,10 +95,10 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "Compile matrix: 5 apps x 5 levels, one shared pass manager\n"
+      "Compile matrix: %zu programs x 5 levels, one shared pass manager\n"
       "(passes run / cache hits are the first shared compile; a replay\n"
       "hits on every pass including plan generation)\n%s\n",
-      matrix.render().c_str());
+      models.size(), matrix.render().c_str());
 
   const driver::CompileStats total = pm.stats();
   TextTable passes({"pass", "executions", "cache hits", "cache misses",
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
   // n=16 over 2 machines: fetch_row runs 8 times (every machine-1-owned
   // row), flush 16 times, barrier 32 times — all deterministic, so the
   // demote/promote verdicts below are too.
-  auto& lu = models[2].model;
+  auto& lu = std::ranges::find(models, "lu.mp", &AppModel::name)->model;
   apps::LuConfig lucfg;
   lucfg.n = 16;
   lucfg.model = &lu;

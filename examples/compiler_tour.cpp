@@ -61,17 +61,18 @@ int main() {
     std::printf("%s", ir::to_string(*p.module).c_str());
     analysis::HeapAnalysis heap(*p.module);
     heap.run();
-    std::printf("fixpoint after %zu iterations, %zu nodes "
-                "(original + parameter clone + return clone)\n",
+    std::printf("fixpoint after %zu iterations, %zu nodes (the Data "
+                "allocation + parameter clone + return clone, and the Foo "
+                "receiver)\n",
                 heap.iterations(), heap.node_count());
   }
   {
     banner("Figures 5-7: per-call-site specialization (Derived1 / Derived2)");
     FigureProgram p = apps::figures::make_figure5();
     std::printf("call site 1 (argument is a Derived1):\n");
-    show_plans(p, p.tag("foo#1"));
+    show_plans(p, p.tags_for("Work.foo").at(0));
     std::printf("\ncall site 2 (argument is a Derived2 holding a Derived1):\n");
-    show_plans(p, p.tag("foo#2"));
+    show_plans(p, p.tags_for("Work.foo").at(1));
   }
   {
     banner("Figure 8: the same object passed twice -> cycle table stays");

@@ -2,23 +2,24 @@
 //
 //   ./build/examples/example_frontend_demo [file.mp] [--level=<level>]
 //
-// Compiles MiniParty source (default: the paper's Figure 5 program), runs
-// the heap/cycle/escape analyses, and prints the lowered IR, the heap
-// graph, and the generated marshaler for every remote call site at the
-// chosen optimization level (default: site + reuse + cycle).
+// Compiles MiniParty source (default: the paper's Figure 5 program,
+// examples/miniparty/figure5_call_sites.mp), runs the heap/cycle/escape
+// analyses, and prints the lowered IR, the heap graph, and the generated
+// marshaler for every remote call site at the chosen optimization level
+// (default: site + reuse + cycle).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "apps/paper_figures.hpp"
 #include "driver/compile.hpp"
 #include "frontend/compile.hpp"
-#include "frontend/figures_source.hpp"
 
 using namespace rmiopt;
 
 int main(int argc, char** argv) {
-  std::string source = frontend::sources::kFigure5;
+  std::string source(apps::figures::source("figure5_call_sites.mp"));
   codegen::OptLevel level = codegen::OptLevel::SiteReuseCycle;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--level=", 8) == 0) {

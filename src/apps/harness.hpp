@@ -25,12 +25,13 @@ inline RunResult collect_run(net::Cluster& cluster, rmi::RmiSystem& sys) {
   return r;
 }
 
-// Find-or-define for the fieldless marker classes the apps export their
-// state objects under ("LU", "Server", ...).  Idempotent, so a figure
-// model can be shared across runs (a PassManager's analyses then hit on
-// every run); the classes carry no fields and are never referenced by the
-// IR, so defining them after compilation does not perturb the module's
-// fingerprint.
+// Find-or-define for the fieldless classes the apps export their state
+// objects under ("LU", "Server", ...).  The .mp programs declare them as
+// remote classes, so the apps find them; a class defined here instead
+// carries no fields and no IR refers to it, so defining it after
+// compilation does not perturb the module's fingerprint, and a shared
+// program stays shareable across runs (a PassManager's analyses then hit
+// on every run).
 inline om::ClassId marker_class(om::TypeRegistry& types,
                                 const std::string& name) {
   if (const om::ClassDescriptor* d = types.find_by_name(name)) return d->id;

@@ -68,7 +68,7 @@ RunResult run_lu(codegen::OptLevel level, const LuConfig& cfg) {
   // The JavaParty runtime's own bootstrap RMIs use generic class-mode
   // stubs — the source of the residual cycle lookups in Table 4.
   rmi::NameService names(sys, *model.types);
-  const om::ClassId row_cls = model.cls("[D");
+  const om::ClassId row_cls = model.cls("[double");
 
   // ---- application state ---------------------------------------------------
   std::vector<LuMachine> state(P);

@@ -18,11 +18,11 @@ namespace rmiopt::driver {
 class PassManager;
 }
 
-namespace rmiopt::apps {
-
-namespace figures {
-struct FigureProgram;
+namespace rmiopt::frontend {
+struct Unit;
 }
+
+namespace rmiopt::apps {
 
 struct LuConfig {
   std::size_t n = 64;          // matrix dimension (paper: 1024)
@@ -39,9 +39,9 @@ struct LuConfig {
   net::FailureDetectorConfig detector{};  // heartbeat failure detection (inert by default)
   // Optional trace recorder (nullptr = tracing off, zero overhead).
   trace::Recorder* recorder = nullptr;
-  // Optional shared IR model (nullptr = build a fresh one per run).  Must
+  // Optional shared program (nullptr = lower a fresh one per run).  Must
   // outlive any PassManager that compiled it (see driver/pass_manager.hpp).
-  figures::FigureProgram* model = nullptr;
+  frontend::Unit* model = nullptr;
   // Optional shared pass manager: analyses and plans are then cached
   // across runs and levels (nullptr = one-shot driver::compile).  Honored
   // only together with `model` — a caching manager must never hold

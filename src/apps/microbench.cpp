@@ -95,9 +95,9 @@ RunResult run_array_bench(codegen::OptLevel level,
   sys.start();
 
   om::Heap& h0 = cluster.machine(0).heap();
-  om::ObjRef mat = h0.alloc_array(model.cls("[[D"), cfg.rows);
+  om::ObjRef mat = h0.alloc_array(model.cls("[L[double;"), cfg.rows);
   for (std::uint32_t rr = 0; rr < cfg.rows; ++rr) {
-    om::ObjRef row = h0.alloc_array(model.cls("[D"), cfg.cols);
+    om::ObjRef row = h0.alloc_array(model.cls("[double"), cfg.cols);
     auto e = row->elems<double>();
     for (std::uint32_t c = 0; c < cfg.cols; ++c) {
       e[c] = rr * 1000.0 + c;
@@ -110,10 +110,10 @@ RunResult run_array_bench(codegen::OptLevel level,
   // check (Fig. 13's mismatch path) on every call.
   om::ObjRef alt = nullptr;
   if (cfg.alternate_cols != 0) {
-    alt = h0.alloc_array(model.cls("[[D"), cfg.rows);
+    alt = h0.alloc_array(model.cls("[L[double;"), cfg.rows);
     for (std::uint32_t rr = 0; rr < cfg.rows; ++rr) {
-      alt->set_elem_ref(rr,
-                        h0.alloc_array(model.cls("[D"), cfg.alternate_cols));
+      alt->set_elem_ref(
+          rr, h0.alloc_array(model.cls("[double"), cfg.alternate_cols));
     }
   }
 

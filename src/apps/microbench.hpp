@@ -16,11 +16,11 @@ namespace rmiopt::driver {
 class PassManager;
 }
 
-namespace rmiopt::apps {
-
-namespace figures {
-struct FigureProgram;
+namespace rmiopt::frontend {
+struct Unit;
 }
+
+namespace rmiopt::apps {
 
 struct ListBenchConfig {
   int list_length = 100;   // paper: 100 elements
@@ -39,9 +39,9 @@ struct ListBenchConfig {
   // frame at the NIC boundary (bench/ablation_zero_copy digests frame
   // images with it to prove Sim/Loopback/gather-on/gather-off equality).
   net::Transport::FrameProbe frame_probe = nullptr;
-  // Optional shared IR model (nullptr = build a fresh one per run).  Must
+  // Optional shared program (nullptr = lower a fresh one per run).  Must
   // outlive any PassManager that compiled it (see driver/pass_manager.hpp).
-  figures::FigureProgram* model = nullptr;
+  frontend::Unit* model = nullptr;
   // Optional shared pass manager: analyses and plans are then cached
   // across runs and levels (nullptr = one-shot driver::compile).  Honored
   // only together with `model` — a caching manager must never hold
@@ -70,9 +70,9 @@ struct ArrayBenchConfig {
   // Optional frame probe installed on the cluster's transport (see
   // ListBenchConfig::frame_probe).
   net::Transport::FrameProbe frame_probe = nullptr;
-  // Optional shared IR model (nullptr = build a fresh one per run).  Must
+  // Optional shared program (nullptr = lower a fresh one per run).  Must
   // outlive any PassManager that compiled it (see driver/pass_manager.hpp).
-  figures::FigureProgram* model = nullptr;
+  frontend::Unit* model = nullptr;
   // Optional shared pass manager: analyses and plans are then cached
   // across runs and levels (nullptr = one-shot driver::compile).  Honored
   // only together with `model` — a caching manager must never hold

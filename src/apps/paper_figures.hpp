@@ -1,43 +1,41 @@
-// IR reconstructions of the paper's running examples (Figures 2–14).
+// The paper's running examples (Figures 2–14) and the communication
+// structure of its three applications, as MiniParty programs.
 //
-// Each factory builds a self-contained program: the classes involved, the
-// functions (remote methods and their callers), and the remote call sites
-// with stable tags.  Tests validate the analyses against the paper's
-// stated outcomes on these exact programs; the compiler_tour example prints
-// the generated code for them; the microbenchmarks (Tables 1 and 2) use
-// Figure 12 (2-D array transmission) and Figure 14 (linked list
-// transmission) as their workload models.
+// Each program exists once, as a file in examples/miniparty/; the build
+// embeds the files into the library and every factory below lowers one of
+// them with frontend::compile_source.  Tests validate the analyses against
+// the paper's stated outcomes on these exact programs; the compiler_tour
+// example prints the generated code for them; the apps and the table
+// binaries run them, so the golden-table gate catches any edit to a file.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <string>
+#include <span>
+#include <string_view>
 
-#include "ir/builder.hpp"
+#include "frontend/compile.hpp"
 
 namespace rmiopt::apps::figures {
 
-struct FigureProgram {
-  std::unique_ptr<om::TypeRegistry> types;
-  std::unique_ptr<ir::Module> module;
-  std::map<std::string, om::ClassId> classes;
-  std::map<std::string, ir::FuncId> funcs;
-  std::map<std::string, std::uint32_t> tags;  // remote call sites by name
+// A lowered program: its classes, functions and tagged remote call sites.
+using FigureProgram = frontend::Unit;
 
-  om::ClassId cls(const std::string& name) const { return classes.at(name); }
-  ir::FuncId func(const std::string& name) const { return funcs.at(name); }
-  std::uint32_t tag(const std::string& name) const { return tags.at(name); }
-
-  // The module's remote call site with the given tag.
-  ir::Module::RemoteCallRef site(std::uint32_t tag) const;
+struct Source {
+  std::string_view file;  // e.g. "figure14_linked_list.mp"
+  std::string_view text;
 };
+
+// Every examples/miniparty/*.mp file, sorted by file name.
+std::span<const Source> sources();
+
+// The text of one of them; throws std::out_of_range if there is none.
+std::string_view source(std::string_view file);
 
 // Figure 2: class Foo { Bar bar; double[][][] a; } — heap-graph shape of
 // nested allocations (5 allocation sites).
 FigureProgram make_figure2();
 
-// Figures 3/4: remote Object foo(Object a){return a;} called in a loop —
-// the data-flow must terminate via the (logical, physical) tuple rule.
+// Figures 3/4: remote Data foo(Data a){return a;} called in a loop — the
+// data-flow must terminate via the (logical, physical) tuple rule.
 FigureProgram make_figure3();
 
 // Figure 5: remote void foo(Base b) called once with Derived1, once with
@@ -46,8 +44,6 @@ FigureProgram make_figure5();
 
 // Figure 8: bar(b, b) — the same object passed twice needs cycle handling.
 FigureProgram make_figure8();
-// Variant: bar(b1, b2) with distinct objects — no cycle handling needed.
-FigureProgram make_figure8_distinct();
 
 // Figure 9: b.self = b — a self-referencing argument.
 FigureProgram make_figure9();
@@ -69,19 +65,20 @@ FigureProgram make_figure12();
 // detection (paper §7 admits this imprecision).
 FigureProgram make_figure14();
 
-// The paper's webserver RMI: remote Page get_page(String url) where pages
-// live in a static table (returned graph reusable at the caller; argument
-// string reusable at the callee) — Tables 7/8.
+// The paper's webserver RMI: remote String get_page(String url) where
+// pages live in a static table (returned graph reusable at the caller;
+// argument string reusable at the callee) — Tables 7/8.
 FigureProgram make_webserver_model();
 
 // The paper's superoptimizer RMI: remote void test(Program p) where the
 // handler pushes p into a static queue — p escapes, no reuse; the program
-// graph (program -> instrs[] -> operands[]) is acyclic — Tables 5/6.
+// graph (program -> instrs[] -> operands) is acyclic — Tables 5/6.
 FigureProgram make_superopt_model();
 
-// The paper's LU RMI: remote void flush(double[][] block) writing into a
-// static matrix (primitive stores only) plus remote void barrier() —
-// arguments acyclic and reusable — Tables 3/4.
+// The paper's LU RMIs: remote void flush(long row, double[] data) writing
+// into a static matrix (primitive stores only), remote double[]
+// fetch_row(long row) and remote void barrier() — arguments acyclic and
+// reusable — Tables 3/4.
 FigureProgram make_lu_model();
 
 }  // namespace rmiopt::apps::figures

@@ -21,11 +21,11 @@ namespace rmiopt::driver {
 class PassManager;
 }
 
-namespace rmiopt::apps {
-
-namespace figures {
-struct FigureProgram;
+namespace rmiopt::frontend {
+struct Unit;
 }
+
+namespace rmiopt::apps {
 
 // The tiny target ISA.
 enum class SopOp : std::int32_t { Add, Sub, And, Or, Xor, Mov, Shl };
@@ -63,9 +63,9 @@ struct SuperoptConfig {
   net::FailureDetectorConfig detector{};  // heartbeat failure detection (inert by default)
   // Optional trace recorder (nullptr = tracing off, zero overhead).
   trace::Recorder* recorder = nullptr;
-  // Optional shared IR model (nullptr = build a fresh one per run).  Must
+  // Optional shared program (nullptr = lower a fresh one per run).  Must
   // outlive any PassManager that compiled it (see driver/pass_manager.hpp).
-  figures::FigureProgram* model = nullptr;
+  frontend::Unit* model = nullptr;
   // Optional shared pass manager: analyses and plans are then cached
   // across runs and levels (nullptr = one-shot driver::compile).  Honored
   // only together with `model` — a caching manager must never hold

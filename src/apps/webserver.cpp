@@ -180,6 +180,14 @@ RunResult run_webserver(codegen::OptLevel level, const WebserverConfig& cfg) {
   sys.stop();
 
   RunResult r = collect_run(cluster, sys);
+  // om::Heap frees nothing on destruction, so the pages go back here,
+  // after the counters were read: stop() drained the executors, and a
+  // sealed gather buffer holds a copy of a page, not a borrow.
+  for (std::size_t s = 1; s < cfg.machines; ++s) {
+    for (const auto& [url, page] : slave_state[s].table) {
+      cluster.machine(s).heap().free(page);
+    }
+  }
   r.compile = prog.stats;
   r.failovers = names.failovers();
   r.check = static_cast<double>(bytes_received.load());

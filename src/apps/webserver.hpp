@@ -17,11 +17,11 @@ namespace rmiopt::driver {
 class PassManager;
 }
 
-namespace rmiopt::apps {
-
-namespace figures {
-struct FigureProgram;
+namespace rmiopt::frontend {
+struct Unit;
 }
+
+namespace rmiopt::apps {
 
 struct WebserverConfig {
   std::size_t machines = 2;     // master + (machines-1) slaves
@@ -43,9 +43,9 @@ struct WebserverConfig {
   std::int64_t call_timeout_ms = 30'000;
   // Optional trace recorder (nullptr = tracing off, zero overhead).
   trace::Recorder* recorder = nullptr;
-  // Optional shared IR model (nullptr = build a fresh one per run).  Must
+  // Optional shared program (nullptr = lower a fresh one per run).  Must
   // outlive any PassManager that compiled it (see driver/pass_manager.hpp).
-  figures::FigureProgram* model = nullptr;
+  frontend::Unit* model = nullptr;
   // Optional shared pass manager: analyses and plans are then cached
   // across runs and levels (nullptr = one-shot driver::compile).  Honored
   // only together with `model` — a caching manager must never hold

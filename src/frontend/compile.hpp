@@ -12,7 +12,9 @@
 //    regular classes access fields only through explicit references;
 //  * no overloading; locals must be initialized at declaration;
 //  * `while`/`if` lower to SSA phis — conditions are evaluated for their
-//    data-flow effects only (the analyses are flow-insensitive).
+//    data-flow effects only (the analyses are flow-insensitive);
+//  * `String` is built in: the runtime's string class, a byte array with
+//    text semantics (`new String()`, `s[i]`, `s.length`).
 #pragma once
 
 #include <map>
@@ -26,16 +28,24 @@ namespace rmiopt::frontend {
 struct Unit {
   std::unique_ptr<om::TypeRegistry> types;
   std::unique_ptr<ir::Module> module;
-  std::map<std::string, om::ClassId> classes;
+  std::map<std::string, om::ClassId> classes;      // source names + "String"
   std::map<std::string, ir::FuncId> functions;     // "Class.method"
   std::map<std::uint32_t, std::string> callsites;  // tag -> "Class.method@line"
 
-  om::ClassId cls(const std::string& name) const { return classes.at(name); }
+  // A source class, or any type-registry name ("[double", "[LInstruction;");
+  // throws std::out_of_range if there is none.
+  om::ClassId cls(const std::string& name) const;
   ir::FuncId func(const std::string& name) const {
     return functions.at(name);
   }
   // The tags of every remote call to `Class.method`, in source order.
   std::vector<std::uint32_t> tags_for(const std::string& callee) const;
+  // The tag of the one remote call site of `method` ("test", "get_page");
+  // throws std::out_of_range if there is none and Error if there are more.
+  std::uint32_t tag(const std::string& method) const;
+  // The module's remote call site with the given tag; throws Error if
+  // there is none.
+  ir::Module::RemoteCallRef site(std::uint32_t tag) const;
 };
 
 // Parses, type-checks and lowers `source`; throws ParseError on any

@@ -1,5 +1,6 @@
 // Semantic analysis and SSA lowering: MiniParty AST -> ir::Module.
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -96,9 +97,11 @@ class Lowerer {
   // ---- declaration passes ---------------------------------------------------
 
   void declare_classes() {
+    unit_.classes.emplace("String", unit_.types->string_class());
     for (const auto& c : ast_.classes) {
       if (unit_.classes.contains(c.name)) {
-        throw ParseError(c.loc, "duplicate class '" + c.name + "'");
+        throw ParseError(c.loc, "duplicate class '" + c.name + "'" +
+                                    (c.name == "String" ? " (built in)" : ""));
       }
       unit_.classes.emplace(c.name, unit_.types->declare_class(c.name));
     }
@@ -111,6 +114,9 @@ class Lowerer {
         auto it = unit_.classes.find(c.extends);
         if (it == unit_.classes.end()) {
           throw ParseError(c.loc, "unknown superclass '" + c.extends + "'");
+        }
+        if (it->second == unit_.types->string_class()) {
+          throw ParseError(c.loc, "cannot extend the built-in String");
         }
         super = it->second;
       }
@@ -504,14 +510,16 @@ class Lowerer {
           throw ParseError(e.loc, "unknown class '" + e.name + "'");
         }
         const om::ClassDescriptor& cls = unit_.types->get(it->second);
-        if (cls.is_array) throw ParseError(e.loc, "cannot 'new' an array class");
-        const ir::ValueId obj = b.alloc(it->second);
         // Record-style construction: arguments initialize the first
         // fields in declaration order.
         if (e.args.size() > cls.fields.size()) {
           throw ParseError(e.loc, "too many constructor arguments for " +
                                       cls.name);
         }
+        // String, the one array class a program can name, is an array of
+        // text bytes in the type registry.
+        const ir::ValueId obj = cls.is_string ? b.alloc_array(it->second)
+                                              : b.alloc(it->second);
         for (std::size_t i = 0; i < e.args.size(); ++i) {
           Value v = lower_expr(ctx, *e.args[i]);
           const om::FieldDescriptor& f = cls.fields[i];
@@ -670,12 +678,39 @@ class Lowerer {
 
 }  // namespace
 
+om::ClassId Unit::cls(const std::string& name) const {
+  if (auto it = classes.find(name); it != classes.end()) return it->second;
+  if (const om::ClassDescriptor* d = types->find_by_name(name)) return d->id;
+  throw std::out_of_range("no class " + name);
+}
+
 std::vector<std::uint32_t> Unit::tags_for(const std::string& callee) const {
   std::vector<std::uint32_t> tags;
   for (const auto& [tag, name] : callsites) {
     if (name.substr(0, name.find('@')) == callee) tags.push_back(tag);
   }
   return tags;
+}
+
+std::uint32_t Unit::tag(const std::string& method) const {
+  std::vector<std::uint32_t> tags;
+  for (const auto& [tag, name] : callsites) {
+    const std::string callee = name.substr(0, name.find('@'));
+    if (callee.substr(callee.find('.') + 1) == method) tags.push_back(tag);
+  }
+  if (tags.empty()) throw std::out_of_range("no remote call to " + method);
+  if (tags.size() > 1) {
+    fail(std::to_string(tags.size()) + " remote calls to " + method +
+         "; use tags_for");
+  }
+  return tags[0];
+}
+
+ir::Module::RemoteCallRef Unit::site(std::uint32_t tag) const {
+  for (const auto& s : module->remote_call_sites()) {
+    if (s.instr->callsite_tag == tag) return s;
+  }
+  fail("no remote call site with tag " + std::to_string(tag));
 }
 
 Unit compile_source(std::string_view source) {

@@ -6,8 +6,8 @@
 // generates class-specific or call-site-specific marshal plans.
 //
 // Arrays are descriptor-represented classes too: `register_prim_array`
-// creates `[D`, nesting creates `[[D`, and `register_ref_array` creates
-// `[LFoo;`.  Strings are byte arrays with a dedicated descriptor so the
+// creates `[double`, and `register_ref_array` creates `[LFoo;` (and
+// `[L[double;` for a double[][]).  Strings are byte arrays with a dedicated descriptor so the
 // web server's URL/page payloads serialize as bulk bytes.
 #pragma once
 

@@ -24,8 +24,8 @@ TEST(Precision, CalleeParamSetsMergeButCallSitesStayPrecise) {
   const ir::Function& foo = *p.module->find_function("Work.foo");
   EXPECT_EQ(heap.points_to(foo.id, 0).size(), 2u);  // merged at the callee
 
-  const auto site1_args = heap.remote_arg_sets(p.site(p.tag("foo#1")));
-  const auto site2_args = heap.remote_arg_sets(p.site(p.tag("foo#2")));
+  const auto site1_args = heap.remote_arg_sets(p.site(p.tags_for("Work.foo").at(0)));
+  const auto site2_args = heap.remote_arg_sets(p.site(p.tags_for("Work.foo").at(1)));
   ASSERT_EQ(site1_args[0].size(), 1u);  // exact at each call site
   ASSERT_EQ(site2_args[0].size(), 1u);
   EXPECT_EQ(heap.node(*site1_args[0].begin()).cls, p.cls("Derived1"));
@@ -39,8 +39,8 @@ TEST(Precision, CalleeLevelPlanWouldBePolymorphic) {
   FigureProgram p = apps::figures::make_figure5();
   driver::CompiledProgram prog =
       driver::compile(*p.module, codegen::OptLevel::Site);
-  EXPECT_EQ(prog.site(p.tag("foo#1")).dynamic_nodes, 0u);
-  EXPECT_EQ(prog.site(p.tag("foo#2")).dynamic_nodes, 0u);
+  EXPECT_EQ(prog.site(p.tags_for("Work.foo").at(0)).dynamic_nodes, 0u);
+  EXPECT_EQ(prog.site(p.tags_for("Work.foo").at(1)).dynamic_nodes, 0u);
 
   // The merged set has two classes — build_node would have to fall back.
   ir::verify(*p.module);
@@ -107,7 +107,7 @@ TEST(Precision, ArrayElementsFlowThroughRmiClones) {
   EXPECT_TRUE(outer.is_clone);
   ASSERT_EQ(outer.elems.size(), 1u);
   EXPECT_TRUE(heap.node(*outer.elems.begin()).is_clone);
-  EXPECT_EQ(heap.node(*outer.elems.begin()).cls, p.cls("[D"));
+  EXPECT_EQ(heap.node(*outer.elems.begin()).cls, p.cls("[double"));
 }
 
 TEST(Precision, GlobalsReachedThroughRmiKeepIdentity) {

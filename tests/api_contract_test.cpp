@@ -77,10 +77,19 @@ TEST(ApiContract, RmiSetupOrderingIsEnforced) {
   sys.stop();
 }
 
-TEST(ApiContract, FigureProgramRejectsUnknownTag) {
-  apps::figures::FigureProgram p = apps::figures::make_figure12();
+TEST(ApiContract, UnitLookupsRejectUnknownAndAmbiguousNames) {
+  const frontend::Unit p = apps::figures::make_figure5();
   EXPECT_THROW(p.site(777), Error);
   EXPECT_THROW(p.cls("Nope"), std::out_of_range);
+  EXPECT_THROW(p.tag("nope"), std::out_of_range);
+  // Work.foo is called at two sites: tag() refuses to pick one.
+  ASSERT_EQ(p.tags_for("Work.foo").size(), 2u);
+  EXPECT_THROW(p.tag("foo"), Error);
+  // Type-registry names resolve as well as source class names.
+  EXPECT_EQ(p.cls("String"), p.types->string_class());
+  const frontend::Unit arrays = apps::figures::make_figure12();
+  EXPECT_EQ(arrays.cls("[L[double;"),
+            arrays.types->find_by_name("[L[double;")->id);
 }
 
 TEST(ApiContract, UnitTagLookupsAreExact) {

@@ -19,7 +19,7 @@ TEST(Codegen, Figure5CallSitePlansAreSpecializedPerSite) {
 
   // Call site 1: argument statically resolves to Derived1 — fully inlined,
   // one int field, no dynamic dispatch (Figure 6, marshaler_Work.go.1).
-  const auto& s1 = prog.site(p.tag("foo#1"));
+  const auto& s1 = prog.site(p.tags_for("Work.foo").at(0));
   ASSERT_EQ(s1.plan->args.size(), 1u);
   const serial::NodePlan& a1 = *s1.plan->args[0];
   EXPECT_FALSE(a1.dynamic_dispatch);
@@ -30,7 +30,7 @@ TEST(Codegen, Figure5CallSitePlansAreSpecializedPerSite) {
 
   // Call site 2: Derived2 whose 'p' field is followed into Derived1
   // (Figure 6, marshaler_Work.go.2 copies s.p.data directly).
-  const auto& s2 = prog.site(p.tag("foo#2"));
+  const auto& s2 = prog.site(p.tags_for("Work.foo").at(1));
   const serial::NodePlan& a2 = *s2.plan->args[0];
   EXPECT_FALSE(a2.dynamic_dispatch);
   EXPECT_EQ(a2.expected_class, p.cls("Derived2"));
@@ -48,7 +48,7 @@ TEST(Codegen, Figure5CallSitePlansAreSpecializedPerSite) {
 TEST(Codegen, Figure7ClassModePlansAreDynamic) {
   FigureProgram p = apps::figures::make_figure5();
   CompiledProgram prog = compile(*p.module, OptLevel::Class);
-  const auto& s1 = prog.site(p.tag("foo#1"));
+  const auto& s1 = prog.site(p.tags_for("Work.foo").at(0));
   const serial::NodePlan& a1 = *s1.plan->args[0];
   // Figure 7: "s.serialize(m); // note: method call" — dynamic dispatch
   // from the declared type, type info on the wire, cycle table on.
@@ -71,10 +71,10 @@ TEST(Codegen, Figure13ArrayMarshalerShape) {
   EXPECT_TRUE(s.plan->reuse_args);
   EXPECT_EQ(s.plan->ret, nullptr);
   const serial::NodePlan& outer = *s.plan->args[0];
-  EXPECT_EQ(outer.expected_class, p.cls("[[D"));
+  EXPECT_EQ(outer.expected_class, p.cls("[L[double;"));
   EXPECT_FALSE(outer.dynamic_dispatch);
   ASSERT_NE(outer.elem_plan, nullptr);
-  EXPECT_EQ(outer.elem_plan->expected_class, p.cls("[D"));
+  EXPECT_EQ(outer.elem_plan->expected_class, p.cls("[double"));
   EXPECT_FALSE(outer.elem_plan->dynamic_dispatch);
 
   // The pseudo code reads like Figure 13.

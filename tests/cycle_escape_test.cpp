@@ -6,6 +6,7 @@
 #include "analysis/cycle_analysis.hpp"
 #include "analysis/escape_analysis.hpp"
 #include "apps/paper_figures.hpp"
+#include "frontend/compile.hpp"
 
 namespace rmiopt::analysis {
 namespace {
@@ -39,7 +40,19 @@ TEST(CycleAnalysis, Figure8AliasedArgumentsNeedCycleDetection) {
 }
 
 TEST(CycleAnalysis, DistinctArgumentsNeedNoCycleDetection) {
-  Analyzed a(apps::figures::make_figure8_distinct());
+  // Figure 8 with bar(b1, b2): two distinct objects need no cycle handling.
+  Analyzed a(frontend::compile_source(R"(
+    class Base { }
+    remote class Worker {
+      void bar(Base x, Base y) { }
+    }
+    class Main {
+      static void foo() {
+        Worker w = new Worker();
+        w.bar(new Base(), new Base());
+      }
+    }
+  )"));
   EXPECT_FALSE(a.cycles->callsite_needs_cycle_table(a.site("bar")));
 }
 

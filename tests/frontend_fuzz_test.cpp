@@ -3,9 +3,9 @@
 // never crash, hang, or corrupt memory.
 #include <gtest/gtest.h>
 
+#include "apps/paper_figures.hpp"
 #include "driver/compile.hpp"
 #include "frontend/compile.hpp"
-#include "frontend/figures_source.hpp"
 #include "support/rng.hpp"
 
 namespace rmiopt::frontend {
@@ -33,13 +33,9 @@ TEST_P(FrontendFuzzP, RandomBytesNeverCrashTheLexerOrParser) {
 
 TEST_P(FrontendFuzzP, MutatedValidProgramsFailGracefully) {
   SplitMix64 rng(GetParam() * 409 + 23);
-  const char* corpus[] = {
-      sources::kFigure2,  sources::kFigure5,  sources::kFigure12,
-      sources::kFigure14, sources::kWebserver, sources::kSuperopt,
-      sources::kLu,
-  };
+  const auto corpus = apps::figures::sources();  // every paper program
   for (int trial = 0; trial < 40; ++trial) {
-    std::string src = corpus[rng.next_below(std::size(corpus))];
+    std::string src(corpus[rng.next_below(corpus.size())].text);
     // Apply 1-3 random mutations: delete a span, duplicate a span, or
     // flip a character.
     const int mutations = 1 + static_cast<int>(rng.next_below(3));
@@ -70,15 +66,9 @@ TEST_P(FrontendFuzzP, MutatedValidProgramsFailGracefully) {
 }
 
 TEST_P(FrontendFuzzP, ValidCorpusAlwaysCompiles) {
-  const char* corpus[] = {
-      sources::kFigure2,  sources::kFigure3,  sources::kFigure5,
-      sources::kFigure8,  sources::kFigure9,  sources::kFigure10,
-      sources::kFigure11, sources::kFigure12, sources::kFigure14,
-      sources::kWebserver, sources::kSuperopt, sources::kLu,
-  };
-  for (const char* src : corpus) {
+  for (const auto& [file, text] : apps::figures::sources()) {
     EXPECT_NO_THROW({
-      Unit unit = compile_source(src);
+      Unit unit = compile_source(text);
       driver::CompiledProgram prog = driver::compile(
           *unit.module, codegen::OptLevel::SiteReuseCycle);
       (void)prog;

@@ -1,16 +1,19 @@
-// Frontend tests: lexer, parser, semantic errors, SSA lowering, and —
-// most importantly — verdict equivalence: the paper's figures written as
-// MiniParty *source* must produce exactly the same analysis results as
-// the hand-built IR models.
+// Frontend tests: lexer, parser, semantic errors (the built-in String
+// included), SSA lowering, and the paper's analysis verdicts on the
+// examples/miniparty programs lowered through the frontend.
 #include <gtest/gtest.h>
 
 #include "analysis/cycle_analysis.hpp"
 #include "analysis/escape_analysis.hpp"
+#include "apps/paper_figures.hpp"
 #include "frontend/compile.hpp"
-#include "frontend/figures_source.hpp"
 
 namespace rmiopt::frontend {
 namespace {
+
+std::string_view src(std::string_view file) {
+  return apps::figures::source(file);
+}
 
 // ---- lexer ------------------------------------------------------------------
 
@@ -63,7 +66,7 @@ TEST(Lexer, RejectsStrayCharacters) {
 // ---- parser -----------------------------------------------------------------
 
 TEST(Parser, ParsesClassStructure) {
-  const ProgramAst ast = parse(sources::kFigure5);
+  const ProgramAst ast = parse(src("figure5_call_sites.mp"));
   ASSERT_EQ(ast.classes.size(), 5u);
   EXPECT_EQ(ast.classes[0].name, "Base");
   EXPECT_EQ(ast.classes[1].extends, "Base");
@@ -77,7 +80,7 @@ TEST(Parser, ParsesClassStructure) {
 }
 
 TEST(Parser, ParsesArrayTypesAndNewArray) {
-  const ProgramAst ast = parse(sources::kFigure2);
+  const ProgramAst ast = parse(src("figure2_heap_graph.mp"));
   const ClassDecl& foo = ast.classes[1];
   ASSERT_EQ(foo.fields.size(), 2u);
   EXPECT_EQ(foo.fields[1].type.base, "double");
@@ -90,7 +93,7 @@ TEST(Parser, ParsesArrayTypesAndNewArray) {
 }
 
 TEST(Parser, ParsesControlFlowAndCalls) {
-  const ProgramAst ast = parse(sources::kFigure14);
+  const ProgramAst ast = parse(src("figure14_linked_list.mp"));
   const MethodDecl& bench = ast.classes[2].methods[0];
   // head decl, i decl, while, f decl, call
   ASSERT_EQ(bench.body.size(), 5u);
@@ -162,6 +165,44 @@ TEST(Sema, SubclassAssignmentIsAllowed) {
   )"));
 }
 
+TEST(Sema, StringIsTheRuntimeStringClass) {
+  const Unit unit = compile_source(R"(
+    remote class S {
+      String echo(String s, String[] all) { return s; }
+    }
+    class A {
+      static void f() {
+        S srv = new S();
+        String[] all = new String[2];
+        all[0] = srv.echo(new String(), all);
+      }
+    }
+  )");
+  const om::ClassId str = unit.types->string_class();
+  const ir::Function& echo = unit.module->function(unit.func("S.echo"));
+  EXPECT_EQ(echo.params.at(0), ir::Type::ref(str));
+  EXPECT_EQ(echo.ret, ir::Type::ref(str));
+  EXPECT_EQ(unit.types->get(echo.params.at(1).class_id).name,
+            "[Ljava/lang/String;");
+  EXPECT_EQ(unit.cls("String"), str);
+
+  // `new String()` allocates a string: the call's first argument.
+  analysis::HeapAnalysis heap(*unit.module);
+  heap.run();
+  const auto args = heap.remote_arg_sets(unit.site(unit.tag("echo")));
+  ASSERT_EQ(args.at(0).size(), 1u);
+  EXPECT_EQ(heap.node(*args[0].begin()).cls, str);
+}
+
+TEST(Sema, StringCannotBeRedefinedOrExtended) {
+  EXPECT_THROW(compile_source("class String { }"), ParseError);
+  EXPECT_THROW(compile_source("class S extends String { }"), ParseError);
+  EXPECT_THROW(compile_source(R"(
+    class A { static void f() { String s = new String(1); } }
+  )"),
+               ParseError);
+}
+
 TEST(Sema, ThisOnlyInRemoteClasses) {
   EXPECT_THROW(compile_source(R"(
     class A {
@@ -186,7 +227,7 @@ struct Analyzed {
   std::unique_ptr<analysis::CycleAnalysis> cycles;
   std::unique_ptr<analysis::EscapeAnalysis> escapes;
 
-  explicit Analyzed(const char* source) : unit(compile_source(source)) {
+  explicit Analyzed(std::string_view source) : unit(compile_source(source)) {
     heap = std::make_unique<analysis::HeapAnalysis>(*unit.module);
     heap->run();
     cycles = std::make_unique<analysis::CycleAnalysis>(*heap);
@@ -200,25 +241,16 @@ struct Analyzed {
   }
 };
 
-TEST(Lowering, Figure2HeapGraphMatchesHandBuiltModel) {
-  Analyzed a(sources::kFigure2);
-  // 5 allocation sites: Foo, Bar, and one per array dimension level.
-  EXPECT_EQ(a.heap->node_count(), 5u);
-  const std::string dump = analysis::to_string(*a.heap);
-  EXPECT_NE(dump.find(".bar"), std::string::npos);
-  EXPECT_NE(dump.find("[] ->"), std::string::npos);
-}
-
 TEST(Lowering, Figure3TupleRuleTerminates) {
-  Analyzed a(sources::kFigure3);
-  // As hand-built (original + parameter clone + return clone) plus the
-  // explicit `new Foo()` remote-object allocation the source spells out.
+  Analyzed a(src("figure3_rmi_loop.mp"));
+  // The Data allocation, its parameter and return clones, and the
+  // `new Foo()` remote-object allocation.
   EXPECT_EQ(a.heap->node_count(), 4u);
   EXPECT_FALSE(a.escapes->args_reusable(a.only_site()));
 }
 
 TEST(Lowering, Figure5PerSitePrecisionSurvivesTheFrontend) {
-  Analyzed a(sources::kFigure5);
+  Analyzed a(src("figure5_call_sites.mp"));
   const auto sites = a.unit.module->remote_call_sites();
   ASSERT_EQ(sites.size(), 2u);
   const auto args1 = a.heap->remote_arg_sets(sites[0]);
@@ -230,30 +262,30 @@ TEST(Lowering, Figure5PerSitePrecisionSurvivesTheFrontend) {
 }
 
 TEST(Lowering, CycleVerdictsMatchPaper) {
-  EXPECT_TRUE(Analyzed(sources::kFigure8)
+  EXPECT_TRUE(Analyzed(src("figure8_aliased_args.mp"))
                   .cycles->callsite_needs_cycle_table(
-                      Analyzed(sources::kFigure8).only_site()));
-  Analyzed f9(sources::kFigure9);
+                      Analyzed(src("figure8_aliased_args.mp")).only_site()));
+  Analyzed f9(src("figure9_self_ref.mp"));
   EXPECT_TRUE(f9.cycles->callsite_needs_cycle_table(f9.only_site()));
-  Analyzed f12(sources::kFigure12);
+  Analyzed f12(src("figure12_array_bench.mp"));
   EXPECT_FALSE(f12.cycles->callsite_needs_cycle_table(f12.only_site()));
-  Analyzed f14(sources::kFigure14);
+  Analyzed f14(src("figure14_linked_list.mp"));
   EXPECT_TRUE(f14.cycles->callsite_needs_cycle_table(f14.only_site()));
 }
 
 TEST(Lowering, EscapeVerdictsMatchPaper) {
-  Analyzed f10(sources::kFigure10);
+  Analyzed f10(src("figure10_reusable.mp"));
   EXPECT_TRUE(f10.escapes->args_reusable(f10.only_site()));
-  Analyzed f11(sources::kFigure11);
+  Analyzed f11(src("figure11_escape.mp"));
   EXPECT_FALSE(f11.escapes->args_reusable(f11.only_site()));
-  Analyzed f12(sources::kFigure12);
+  Analyzed f12(src("figure12_array_bench.mp"));
   EXPECT_TRUE(f12.escapes->args_reusable(f12.only_site()));
-  Analyzed f14(sources::kFigure14);
+  Analyzed f14(src("figure14_linked_list.mp"));
   EXPECT_TRUE(f14.escapes->args_reusable(f14.only_site()));
 }
 
 TEST(Lowering, WebserverModelFromSourceMatchesPaperSection54) {
-  Analyzed a(sources::kWebserver);
+  Analyzed a(src("webserver.mp"));
   const auto site = a.only_site();
   EXPECT_FALSE(a.cycles->callsite_needs_cycle_table(site));
   EXPECT_TRUE(a.escapes->args_reusable(site));
@@ -261,14 +293,14 @@ TEST(Lowering, WebserverModelFromSourceMatchesPaperSection54) {
 }
 
 TEST(Lowering, SuperoptModelFromSourceMatchesPaperSection53) {
-  Analyzed a(sources::kSuperopt);
+  Analyzed a(src("superopt.mp"));
   const auto site = a.only_site();
   EXPECT_FALSE(a.cycles->callsite_needs_cycle_table(site));
   EXPECT_FALSE(a.escapes->args_reusable(site));  // queued: escapes
 }
 
 TEST(Lowering, LuModelFromSourceMatchesPaperSection52) {
-  const Unit unit = compile_source(sources::kLu);
+  const Unit unit = compile_source(src("lu.mp"));
   analysis::HeapAnalysis heap(*unit.module);
   heap.run();
   analysis::CycleAnalysis cycles(heap);
@@ -281,28 +313,21 @@ TEST(Lowering, LuModelFromSourceMatchesPaperSection52) {
   ASSERT_EQ(fetch_tags.size(), 1u);
   ASSERT_EQ(barrier_tags.size(), 1u);
 
-  auto site_of = [&](std::uint32_t tag) {
-    for (const auto& s : unit.module->remote_call_sites()) {
-      if (s.instr->callsite_tag == tag) return s;
-    }
-    fail("missing site");
-  };
-  // Same verdicts as the hand-built model (tests/cycle_escape_test.cpp).
-  EXPECT_FALSE(cycles.callsite_needs_cycle_table(site_of(flush_tags[0])));
-  EXPECT_TRUE(escapes.args_reusable(site_of(flush_tags[0])));
-  EXPECT_FALSE(cycles.callsite_needs_cycle_table(site_of(fetch_tags[0])));
-  EXPECT_TRUE(escapes.return_reusable(site_of(fetch_tags[0])));
-  EXPECT_FALSE(cycles.callsite_needs_cycle_table(site_of(barrier_tags[0])));
+  EXPECT_FALSE(cycles.callsite_needs_cycle_table(unit.site(flush_tags[0])));
+  EXPECT_TRUE(escapes.args_reusable(unit.site(flush_tags[0])));
+  EXPECT_FALSE(cycles.callsite_needs_cycle_table(unit.site(fetch_tags[0])));
+  EXPECT_TRUE(escapes.return_reusable(unit.site(fetch_tags[0])));
+  EXPECT_FALSE(cycles.callsite_needs_cycle_table(unit.site(barrier_tags[0])));
 }
 
 TEST(Lowering, PreciseCyclesFixFigure14FromSource) {
-  Analyzed a(sources::kFigure14);
+  Analyzed a(src("figure14_linked_list.mp"));
   analysis::CycleAnalysis refined(*a.heap, /*construction_order=*/true);
   EXPECT_FALSE(refined.callsite_needs_cycle_table(a.only_site()));
 }
 
 TEST(Lowering, WhileLoopsBuildPhis) {
-  const Unit unit = compile_source(sources::kFigure14);
+  const Unit unit = compile_source(src("figure14_linked_list.mp"));
   const ir::Function& bench =
       *unit.module->find_function("Main.benchmark");
   bool found_phi = false;
@@ -345,7 +370,7 @@ TEST(Lowering, IfElseMergesWithPhi) {
 }
 
 TEST(Lowering, CallsiteTagsCarrySourceLines) {
-  const Unit unit = compile_source(sources::kFigure5);
+  const Unit unit = compile_source(src("figure5_call_sites.mp"));
   ASSERT_EQ(unit.callsites.size(), 2u);
   for (const auto& [tag, name] : unit.callsites) {
     EXPECT_NE(name.find("Work.foo@"), std::string::npos) << name;

@@ -21,14 +21,14 @@ TEST(HeapAnalysis, Figure2GraphShape) {
   // Five allocation sites, no remote calls => exactly five nodes.
   EXPECT_EQ(heap.node_count(), 5u);
 
-  const ir::Function& main = *p.module->find_function("main");
+  const ir::Function& main = *p.module->find_function("Main.main");
   // %0 = new Foo — singleton points-to set.
   const NodeSet& foo_set = heap.points_to(main.id, 0);
   ASSERT_EQ(foo_set.size(), 1u);
   const HeapNode& foo = heap.node(*foo_set.begin());
   EXPECT_EQ(foo.cls, p.cls("Foo"));
 
-  // Foo.bar -> the Bar allocation; Foo.a -> the [[[D allocation.
+  // Foo.bar -> the Bar allocation; Foo.a -> the double[][][] allocation.
   const NodeSet& bar_targets = foo.fields.at(0);
   ASSERT_EQ(bar_targets.size(), 1u);
   EXPECT_EQ(heap.node(*bar_targets.begin()).cls, p.cls("Bar"));
@@ -36,14 +36,14 @@ TEST(HeapAnalysis, Figure2GraphShape) {
   const NodeSet& a_targets = foo.fields.at(1);
   ASSERT_EQ(a_targets.size(), 1u);
   const HeapNode& a3 = heap.node(*a_targets.begin());
-  EXPECT_EQ(a3.cls, p.cls("[[[D"));
+  EXPECT_EQ(a3.cls, p.cls("[L[L[double;;"));
   // Note (paper, Fig. 2): the array-of-arrays is represented by one node
   // per allocation site, not one node per runtime array.
   ASSERT_EQ(a3.elems.size(), 1u);
   const HeapNode& a2 = heap.node(*a3.elems.begin());
-  EXPECT_EQ(a2.cls, p.cls("[[D"));
+  EXPECT_EQ(a2.cls, p.cls("[L[double;"));
   ASSERT_EQ(a2.elems.size(), 1u);
-  EXPECT_EQ(heap.node(*a2.elems.begin()).cls, p.cls("[D"));
+  EXPECT_EQ(heap.node(*a2.elems.begin()).cls, p.cls("[double"));
 }
 
 TEST(HeapAnalysis, Figure3TerminatesViaTupleRule) {
@@ -52,14 +52,14 @@ TEST(HeapAnalysis, Figure3TerminatesViaTupleRule) {
   HeapAnalysis heap(*p.module);
   heap.run(/*max_nodes=*/1000);  // would explode without the tuple rule
 
-  const ir::Function& zoo = *p.module->find_function("zoo");
+  const ir::Function& zoo = *p.module->find_function("Main.zoo");
   const ir::Function& foo = *p.module->find_function("Foo.foo");
 
   // t's set: the original allocation (2) plus exactly one clone from the
   // return path (4) — "straight after the creation of <4,2> no further
-  // tuples are created" (Fig. 4).
-  // Find the phi result: value after the allocation.
-  const NodeSet& t_loop = heap.points_to(zoo.id, 1);  // %1 = phi
+  // tuples are created" (Fig. 4).  The call's argument is t's loop phi.
+  const ir::ValueId t_phi = p.site(p.tag("foo")).instr->operands.at(0);
+  const NodeSet& t_loop = heap.points_to(zoo.id, t_phi);
   EXPECT_EQ(t_loop.size(), 2u);
 
   // foo's parameter: original's clone (3) only; physical ids of all nodes
@@ -69,8 +69,9 @@ TEST(HeapAnalysis, Figure3TerminatesViaTupleRule) {
   for (LogicalId id : heap.reachable(t_loop)) {
     EXPECT_EQ(heap.node(id).physical, heap.node(*param.begin()).physical);
   }
-  // Total nodes: original (2) + param clone (3) + return clone (4).
-  EXPECT_EQ(heap.node_count(), 3u);
+  // Total nodes: original (2) + param clone (3) + return clone (4), plus
+  // the `Foo me = new Foo()` receiver the source allocates.
+  EXPECT_EQ(heap.node_count(), 4u);
 }
 
 TEST(HeapAnalysis, RemoteCloneMirrorsSubgraphStructure) {

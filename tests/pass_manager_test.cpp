@@ -24,11 +24,9 @@ std::string render(const CompiledProgram& prog, const om::TypeRegistry& t) {
 
 std::vector<FigureProgram> all_models() {
   std::vector<FigureProgram> m;
-  m.push_back(apps::figures::make_figure14());
-  m.push_back(apps::figures::make_figure12());
-  m.push_back(apps::figures::make_lu_model());
-  m.push_back(apps::figures::make_superopt_model());
-  m.push_back(apps::figures::make_webserver_model());
+  for (const auto& [file, text] : apps::figures::sources()) {
+    m.push_back(frontend::compile_source(text));
+  }
   return m;
 }
 

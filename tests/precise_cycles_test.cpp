@@ -56,7 +56,6 @@ struct NodeProgram {
       build(b, node, bar.id);
       b.ret();
     }
-    p.tags["bar"] = 1;
   }
 };
 

@@ -19,7 +19,7 @@ TEST(PseudocodeGolden, Figure6CallSiteMarshalers) {
 
   // marshaler_Work.go.1: "p.writeInt(s.data)" — ours: m.write_int(a0.data)
   const std::string m1 =
-      serial::to_pseudocode(*prog.site(p.tag("foo#1")).plan, *p.types);
+      serial::to_pseudocode(*prog.site(p.tags_for("Work.foo").at(0)).plan, *p.types);
   EXPECT_NE(m1.find("m.write_int(a0.data);  // inlined"), std::string::npos)
       << m1;
   EXPECT_EQ(m1.find("serialize(m)"), std::string::npos);  // no dynamic call
@@ -28,7 +28,7 @@ TEST(PseudocodeGolden, Figure6CallSiteMarshalers) {
   // marshaler_Work.go.2: "p.writeInt(s.p.data)" — the reference field is
   // followed at compile time.
   const std::string m2 =
-      serial::to_pseudocode(*prog.site(p.tag("foo#2")).plan, *p.types);
+      serial::to_pseudocode(*prog.site(p.tags_for("Work.foo").at(1)).plan, *p.types);
   EXPECT_NE(m2.find("m.write_int(a0.p.data);  // inlined"), std::string::npos)
       << m2;
 }
@@ -39,7 +39,7 @@ TEST(PseudocodeGolden, Figure7ClassMarshalers) {
       driver::compile(*p.module, codegen::OptLevel::Class);
   // "s.serialize(m); // note: method call" + cycle table + type info.
   const std::string m1 =
-      serial::to_pseudocode(*prog.site(p.tag("foo#1")).plan, *p.types);
+      serial::to_pseudocode(*prog.site(p.tags_for("Work.foo").at(0)).plan, *p.types);
   EXPECT_NE(m1.find("a0.serialize(m);  // dynamic call, writes class id"),
             std::string::npos)
       << m1;
@@ -58,7 +58,7 @@ TEST(PseudocodeGolden, Figure13ReuseAnnotations) {
 }
 
 TEST(AnalysisGuards, NodeBudgetViolationThrows) {
-  // Figure 3 needs 3 nodes; an absurdly small budget must be detected as
+  // Figure 3 needs 4 nodes; an absurdly small budget must be detected as
   // divergence rather than silently truncating the analysis.
   FigureProgram p = apps::figures::make_figure3();
   analysis::HeapAnalysis heap(*p.module);

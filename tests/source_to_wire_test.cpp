@@ -6,9 +6,9 @@
 // executes them to move real data between machines.
 #include <gtest/gtest.h>
 
+#include "apps/paper_figures.hpp"
 #include "driver/compile.hpp"
 #include "frontend/compile.hpp"
-#include "frontend/figures_source.hpp"
 #include "net/cluster.hpp"
 #include "rmi/runtime.hpp"
 
@@ -18,7 +18,7 @@ namespace {
 TEST(SourceToWire, Figure12ArrayTransferFromSource) {
   // Compile the paper's Figure 12 program from source.
   frontend::Unit unit = frontend::compile_source(
-      frontend::sources::kFigure12);
+      apps::figures::source("figure12_array_bench.mp"));
   const auto tags = unit.tags_for("ArrayBench.send");
   ASSERT_EQ(tags.size(), 1u);
 
@@ -125,8 +125,8 @@ TEST(SourceToWire, PolymorphicProgramFromSourceDispatchesCorrectly) {
 }
 
 TEST(SourceToWire, LinkedListFromSourceRoundTripsWithReuse) {
-  frontend::Unit unit =
-      frontend::compile_source(frontend::sources::kFigure14);
+  frontend::Unit unit = frontend::compile_source(
+      apps::figures::source("figure14_linked_list.mp"));
   const auto tags = unit.tags_for("Foo.send");
   ASSERT_EQ(tags.size(), 1u);
   driver::CompiledProgram prog =
