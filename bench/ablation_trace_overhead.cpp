@@ -11,7 +11,8 @@
 //    only price tracing pays.
 //  * fidelity under faults — a faulty webserver run must show its
 //    retransmits and duplicate-suppression verdicts as events on the
-//    affected link, matching the network counters.
+//    affected link, and every network counter must equal the number of
+//    its events.
 //
 // With a path argument, the faulty webserver's Chrome trace JSON is
 // written there (load in chrome://tracing or ui.perfetto.dev; CI
@@ -151,12 +152,37 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(faulty.net.retransmits),
       static_cast<unsigned long long>(faulty.net.dedup_hits),
       retrans.size(), retrans_01, dedup.size(), dedup_01);
-  RMIOPT_CHECK(faulty.net.retransmits == 0 || retrans_01 > 0,
-               "retransmits occurred but none were traced on link 0->1");
-  RMIOPT_CHECK(faulty.net.dedup_hits == 0 || dedup_01 > 0,
-               "dedup hits occurred but none were traced on link 0->1");
-  RMIOPT_CHECK(retrans.size() == faulty.net.retransmits,
-               "traced retransmit spans != network retransmit counter");
+  // One note() reports each occurrence's counter and event, so every
+  // pair is exactly equal (docs/OBSERVABILITY.md).
+  const auto n = [&](trace::EventKind k) {
+    return static_cast<std::uint64_t>(faulty_rec.events_of(k).size());
+  };
+  using E = trace::EventKind;
+  const auto& net = faulty.net;
+  const struct {
+    const char* counter;
+    std::uint64_t value, events;
+  } pairs[] = {
+      {"dropped", net.dropped, n(E::FaultDrop)},
+      {"duplicated", net.duplicated, n(E::FaultDuplicate)},
+      {"reordered", net.reordered, n(E::FaultReorder)},
+      {"corrupted", net.corrupted, n(E::FaultCorrupt)},
+      {"retransmits", net.retransmits,
+       n(E::Retransmit) + n(E::NackTurnaround)},
+      {"dedup_hits", net.dedup_hits, n(E::DedupDrop)},
+      {"dedup_late_recoveries", net.dedup_late_recoveries,
+       n(E::DedupLateRecovery)},
+      {"heartbeats", net.heartbeats, n(E::Heartbeat)},
+      {"heartbeat_misses", net.heartbeat_misses, n(E::HeartbeatMiss)},
+      {"suspicions", net.suspicions, n(E::MachineSuspected)},
+      {"machine_deaths", net.machine_deaths, n(E::MachineDead)},
+  };
+  for (const auto& p : pairs) {
+    RMIOPT_CHECK(p.value == p.events, std::string("network counter ") +
+                                          p.counter + " != its trace events");
+  }
+  RMIOPT_CHECK(retrans_01 == retrans.size() && dedup_01 == dedup.size(),
+               "fault events traced off the faulty link 0->1");
 
   bench::print_callsite_profile("\nper-call-site profile (faulty webserver):",
                                 faulty_rec);

@@ -46,18 +46,17 @@ inline void print_fault_table(const std::vector<LevelRun>& runs) {
   bool any = false;
   for (const auto& run : runs) {
     const auto& n = run.result.net;
-    any = any || n.faults() > 0 || n.retransmits > 0 || n.timeouts > 0;
+    any = any || n.faults() > 0 || n.retransmits > 0;
   }
   if (!any) return;
   TextTable t({"Optimization", "dropped", "dup'd", "reord", "corrupt",
-               "retrans", "dedup", "timeouts", "failovers"});
+               "retrans", "dedup", "failovers"});
   for (const auto& run : runs) {
     const auto& n = run.result.net;
     t.add_row({std::string(codegen::to_string(run.level)),
                std::to_string(n.dropped), std::to_string(n.duplicated),
                std::to_string(n.reordered), std::to_string(n.corrupted),
                std::to_string(n.retransmits), std::to_string(n.dedup_hits),
-               std::to_string(n.timeouts),
                std::to_string(run.result.failovers)});
   }
   std::printf("injected faults and recovery\n%s\n", t.render().c_str());

@@ -41,11 +41,6 @@ class VirtualClock {
     return now_;
   }
 
-  void reset() {
-    std::scoped_lock lock(mu_);
-    now_ = SimTime();
-  }
-
  private:
   mutable std::mutex mu_;
   SimTime now_;

@@ -8,12 +8,15 @@ Cluster::Cluster(std::size_t machine_count, const om::TypeRegistry& types,
                  const serial::CostModel& cost, TransportKind transport,
                  const wire::SessionConfig& session, const FaultPlan& faults,
                  const FailureDetectorConfig& detector)
-    : cost_(cost), transport_(make_transport(transport, cost_)) {
+    : cost_(cost),
+      stats_([this](std::uint16_t m) {
+        return machines_[m]->clock().now().as_nanos();
+      }),
+      transport_(make_transport(transport, cost_, stats_)) {
   RMIOPT_CHECK(machine_count >= 1, "cluster needs at least one machine");
   if (faults.enabled()) {
-    transport_ = std::make_unique<FaultyTransport>(cost_,
-                                                   std::move(transport_),
-                                                   faults);
+    transport_ = std::make_unique<FaultyTransport>(
+        cost_, stats_, std::move(transport_), faults);
   }
   if (detector.enabled) {
     // The detector reads the crash schedule and the heartbeat-drop dice
@@ -21,24 +24,29 @@ Cluster::Cluster(std::size_t machine_count, const om::TypeRegistry& types,
     // expected probe then hits and no machine is ever declared dead).
     const auto* faulty = dynamic_cast<FaultyTransport*>(transport_.get());
     detector_ = std::make_unique<FailureDetector>(
-        detector, machine_count, faulty != nullptr ? &faulty->plan() : nullptr);
+        detector, machine_count, faulty != nullptr ? &faulty->plan() : nullptr,
+        stats_);
   }
   machines_.reserve(machine_count);
   for (std::size_t i = 0; i < machine_count; ++i) {
     machines_.push_back(std::make_unique<Machine>(
-        static_cast<std::uint16_t>(i), types, cost_));
+        static_cast<std::uint16_t>(i), types, cost_, stats_));
   }
   sessions_.resize(machine_count * machine_count);
   for (std::size_t s = 0; s < machine_count; ++s) {
     for (std::size_t d = 0; d < machine_count; ++d) {
       if (s == d) continue;
       // Retransmit/NACK timers are virtual time the *sender* spends
-      // waiting, so the session charges them to the source machine.
+      // waiting, so they are charged to the source machine.
       Machine& src = *machines_[s];
+      const auto to = static_cast<std::uint16_t>(d);
       sessions_[s * machine_count + d] = std::make_unique<wire::Session>(
-          static_cast<std::uint16_t>(s), static_cast<std::uint16_t>(d),
-          session, [&src](std::int64_t nanos) {
-            src.clock().advance(SimTime::nanos(nanos));
+          src.id(), to, session,
+          [this, &src, to](wire::Occurrence what, std::uint64_t link_seq,
+                           std::int64_t wait_ns, std::uint32_t count,
+                           std::uint64_t bytes) {
+            if (wait_ns > 0) src.clock().advance(SimTime::nanos(wait_ns));
+            stats_.note(what, src.id(), to, link_seq, wait_ns, count, bytes);
           });
     }
   }
@@ -118,42 +126,9 @@ void Cluster::shutdown() {
 }
 
 NetworkStats::Snapshot Cluster::stats() const {
-  NetworkStats::Snapshot total;
-  total += transport_->stats();
-  for (const auto& m : machines_) {
-    const Machine::DedupCounters c = m->dedup_counters();
-    total.dedup_forced_slides += c.forced_slides;
-    total.dedup_late_recoveries += c.late_recoveries;
-    total.dedup_skipped_expired += c.skipped_expired;
-    const support::FramePool::Counters p = m->frame_pool().counters();
-    total.frame_pool_hits += p.hits;
-    total.frame_pool_misses += p.misses;
-  }
-  if (detector_ != nullptr) {
-    const FailureDetector::Counters c = detector_->counters();
-    total.heartbeats += c.heartbeats;
-    total.heartbeat_misses += c.heartbeat_misses;
-    total.suspicions += c.suspicions;
-    total.machine_deaths += c.deaths;
-  }
+  NetworkStats::Snapshot total = stats_.snapshot();
+  for (const auto& m : machines_) m->add_receive_counters(total);
   return total;
-}
-
-void Cluster::set_recorder(trace::Recorder* recorder) {
-  recorder_ = recorder;
-  transport_->set_recorder(recorder);
-  if (detector_ != nullptr) detector_->set_recorder(recorder);
-  for (auto& m : machines_) m->set_recorder(recorder);
-  for (std::size_t s = 0; s < machines_.size(); ++s) {
-    for (std::size_t d = 0; d < machines_.size(); ++d) {
-      if (s == d) continue;
-      Machine& src = *machines_[s];
-      session(static_cast<std::uint16_t>(s), static_cast<std::uint16_t>(d))
-          .set_trace(recorder, [&src]() -> std::int64_t {
-            return src.clock().now().as_nanos();
-          });
-    }
-  }
 }
 
 SimTime Cluster::makespan() const {

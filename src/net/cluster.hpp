@@ -9,6 +9,10 @@
 // delivers to the destination inbox.  Payload bytes are moved, never
 // copied — the copy cost is charged virtually by the serializer's cost
 // model.
+//
+// The cluster owns the network's one reporting point, a NetworkStats
+// (net/transport.hpp) holding every counter and the recorder pointer,
+// and hands it to the sessions, transport, machines and detector.
 #pragma once
 
 #include <memory>
@@ -56,7 +60,6 @@ class Cluster {
   // blocked on a reply — poll() it with makespan() so deaths are declared
   // even when no new traffic flows.
   FailureDetector* detector() { return detector_.get(); }
-  const FailureDetector* detector() const { return detector_.get(); }
 
   // Forces every session's held-back messages out.
   void flush();
@@ -70,20 +73,20 @@ class Cluster {
   // stop).
   void shutdown();
 
-  // Aggregated traffic over every transport this cluster drives, plus
-  // the machines' receive-window health counters.
+  // Every network counter, plus the machines' receive-window and
+  // frame-pool counters.
   NetworkStats::Snapshot stats() const;
 
-  // The backend itself (per-transport stats, name).
+  // The backend itself (for its frame probe).
   Transport& transport() { return *transport_; }
-  const Transport& transport() const { return *transport_; }
 
-  // Attaches a trace recorder to every layer the cluster owns — machines
-  // (dedup verdicts), sessions (enqueue/frames/ARQ) and the transport
-  // (flights, injected faults).  nullptr detaches.  Call before traffic
-  // flows; the RMI runtime reads recorder() for its own spans.
-  void set_recorder(trace::Recorder* recorder);
-  trace::Recorder* recorder() const { return recorder_; }
+  // Attaches a trace recorder: sets the one pointer every layer's
+  // occurrences are recorded through.  nullptr detaches.  Call before
+  // traffic flows; the RMI runtime reads recorder() for its own spans.
+  void set_recorder(trace::Recorder* recorder) {
+    stats_.set_recorder(recorder);
+  }
+  trace::Recorder* recorder() const { return stats_.recorder(); }
 
   // Virtual makespan: the maximum clock across machines — the cluster-wide
   // "wall time" a benchmark reports.
@@ -96,7 +99,7 @@ class Cluster {
   void fail_if_dead(std::uint16_t src, std::uint16_t dst) const;
 
   serial::CostModel cost_;
-  trace::Recorder* recorder_ = nullptr;
+  NetworkStats stats_;
   std::unique_ptr<Transport> transport_;
   std::unique_ptr<FailureDetector> detector_;
   std::vector<std::unique_ptr<Machine>> machines_;

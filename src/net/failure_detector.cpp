@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "support/error.hpp"
-#include "wire/protocol.hpp"
 
 namespace rmiopt::net {
 
@@ -18,10 +17,11 @@ constexpr std::uint16_t kProbeSrcFlag = 0x8000;
 
 FailureDetector::FailureDetector(const FailureDetectorConfig& cfg,
                                  std::size_t machine_count,
-                                 const FaultPlan* plan)
+                                 const FaultPlan* plan, NetworkStats& stats)
     : cfg_(cfg),
       machines_(machine_count),
       plan_(plan),
+      stats_(stats),
       next_round_gate_(cfg.heartbeat_period_ns),
       next_round_ns_(cfg.heartbeat_period_ns),
       states_(machine_count) {
@@ -36,14 +36,6 @@ FailureDetector::FailureDetector(const FailureDetectorConfig& cfg,
   for (std::size_t m = 0; m < machine_count; ++m) {
     liveness_[m].store(static_cast<std::uint8_t>(Liveness::Alive),
                        std::memory_order_relaxed);
-  }
-  sessions_.resize(machine_count);
-  for (std::size_t m = 0; m < machine_count; ++m) {
-    if (m == cfg_.monitor) continue;
-    // Default session config, no charge function: probes are NIC-level
-    // keepalives — they never advance a CPU clock and never retransmit.
-    sessions_[m] = std::make_unique<wire::Session>(
-        static_cast<std::uint16_t>(m), cfg_.monitor, wire::SessionConfig{});
   }
 }
 
@@ -61,11 +53,6 @@ SimTime FailureDetector::declared_dead_at(std::uint16_t machine) const {
   std::scoped_lock lock(mu_);
   const std::int64_t at = states_.at(machine).dead_at_ns;
   return at < 0 ? SimTime() : SimTime::nanos(at);
-}
-
-FailureDetector::Counters FailureDetector::counters() const {
-  std::scoped_lock lock(mu_);
-  return counters_;
 }
 
 void FailureDetector::poll(SimTime now) {
@@ -110,32 +97,20 @@ void FailureDetector::run_round(
       // A crash exactly at the round boundary counts as a miss: crashed()
       // is inclusive, matching the transport's frame-level semantics.
       heard = false;
-    } else {
-      wire::Message hb;
-      hb.header.kind = wire::MsgKind::Heartbeat;
-      hb.header.seq = static_cast<std::uint32_t>(round_);
-      hb.header.source_machine = m;
-      hb.header.dest_machine = cfg_.monitor;
-      sessions_[m]->post(std::move(hb), [](const wire::Frame&) {
-        // No ARQ for probes: the miss bookkeeping below IS the protocol.
-        return wire::SendOutcome::Delivered;
-      });
-      if (plan_ != nullptr) {
-        // Probes cross the same lossy link as m -> monitor app traffic,
-        // rolled on a disjoint seeded stream (keyed by round, so skipped
-        // rounds of other machines never shift it).
-        const double p = plan_->link(m, cfg_.monitor).drop;
-        if (p > 0.0) {
-          SplitMix64 roll = plan_->dice(m | kProbeSrcFlag, cfg_.monitor,
-                                        round_, 0);
-          heard = roll.next_double() >= p;
-        }
+    } else if (plan_ != nullptr) {
+      // Probes cross the same lossy link as m -> monitor app traffic,
+      // rolled on a disjoint seeded stream (keyed by round, so skipped
+      // rounds of other machines never shift it).  No ARQ for probes: the
+      // miss bookkeeping below IS the protocol.
+      const double p = plan_->link(m, cfg_.monitor).drop;
+      if (p > 0.0) {
+        SplitMix64 roll = plan_->dice(m | kProbeSrcFlag, cfg_.monitor,
+                                      round_, 0);
+        heard = roll.next_double() >= p;
       }
     }
     if (heard) {
-      ++counters_.heartbeats;
-      trace_instant(trace::EventKind::Heartbeat, trace::TrackKind::Link, m,
-                    round_ns, round_);
+      stats_.note(Occurrence::Heartbeat, m, cfg_.monitor, round_, round_ns);
       st.misses = 0;
       if (liveness_[m].load(std::memory_order_relaxed) ==
           static_cast<std::uint8_t>(Liveness::Suspected)) {
@@ -144,43 +119,22 @@ void FailureDetector::run_round(
       }
       continue;
     }
-    ++counters_.heartbeat_misses;
-    trace_instant(trace::EventKind::HeartbeatMiss, trace::TrackKind::Link, m,
-                  round_ns, round_);
+    stats_.note(Occurrence::HeartbeatMiss, m, cfg_.monitor, round_, round_ns);
     ++st.misses;
     if (st.misses == cfg_.suspect_after_misses &&
         cfg_.suspect_after_misses < cfg_.confirm_after_misses) {
       liveness_[m].store(static_cast<std::uint8_t>(Liveness::Suspected),
                          std::memory_order_release);
-      ++counters_.suspicions;
-      trace_instant(trace::EventKind::MachineSuspected,
-                    trace::TrackKind::Machine, m, round_ns, round_);
+      stats_.note(Occurrence::Suspected, m, cfg_.monitor, round_, round_ns);
     }
     if (st.misses >= cfg_.confirm_after_misses) {
       st.dead_at_ns = round_ns;
       liveness_[m].store(static_cast<std::uint8_t>(Liveness::Dead),
                          std::memory_order_release);
-      ++counters_.deaths;
-      trace_instant(trace::EventKind::MachineDead, trace::TrackKind::Machine,
-                    m, round_ns, round_);
+      stats_.note(Occurrence::Dead, m, cfg_.monitor, round_, round_ns);
       deaths.emplace_back(m, SimTime::nanos(round_ns));
     }
   }
-}
-
-void FailureDetector::trace_instant(trace::EventKind kind,
-                                    trace::TrackKind track,
-                                    std::uint16_t machine, std::int64_t at_ns,
-                                    std::uint64_t round) const {
-  if (recorder_ == nullptr) return;
-  trace::Event e;
-  e.kind = kind;
-  e.track = track;
-  e.machine = machine;
-  e.peer = track == trace::TrackKind::Link ? cfg_.monitor : 0;
-  e.start_ns = at_ns;
-  e.seq = static_cast<std::uint32_t>(round);
-  recorder_->record(e);
 }
 
 }  // namespace rmiopt::net

@@ -1,8 +1,8 @@
 // Heartbeat-based failure detection and cluster membership.
 //
 // Every machine except the monitor emits one liveness heartbeat per probe
-// round over a dedicated wire::Session to the monitor (machine 0 by
-// default).  Rounds live on the *virtual* time axis at fixed multiples of
+// round to the monitor (machine 0 by default).  Rounds live on the
+// *virtual* time axis at fixed multiples of
 // `heartbeat_period_ns` and are executed lazily: any thread that observes
 // the cluster's virtual clock past a round boundary runs the outstanding
 // rounds, in order, under one lock.  A round's outcome for a machine is a
@@ -20,13 +20,15 @@
 // (the same per-link drop probability app traffic sees); a hit resets the
 // miss counter and clears suspicion.
 //
-// Heartbeats are modelled as NIC-level keepalives: they are framed through
-// a real Session (stamping their own link-sequence space), but they never
-// enter a machine's inbox, never charge a CPU clock, and never retransmit
-// — a miss IS the protocol's signal.  This keeps the app-traffic timeline
-// and its dedup windows untouched, so with the detector disabled (the
-// default) nothing whatsoever changes, and with it enabled the virtual
-// makespan of healthy traffic is unperturbed.
+// Heartbeats are modelled as NIC-level keepalives: a probe is rolled in
+// place, never built as a message — it never enters a session, a
+// transport or a machine's inbox, never charges a CPU clock, and never
+// retransmits; a miss IS the protocol's signal.  This keeps the
+// app-traffic timeline and its dedup windows untouched, so with the
+// detector disabled (the default) nothing whatsoever changes, and with it
+// enabled the virtual makespan of healthy traffic is unperturbed.  Every
+// heartbeat, miss, suspicion and death is noted on the cluster's
+// NetworkStats, stamped with its probe round's virtual time.
 //
 // Known limitation: the monitor is the membership anchor.  If the monitor
 // itself crashes, probing halts and no further machine can be declared
@@ -42,9 +44,8 @@
 #include <vector>
 
 #include "net/fault.hpp"
+#include "net/transport.hpp"
 #include "support/sim_time.hpp"
-#include "trace/trace.hpp"
-#include "wire/session.hpp"
 
 namespace rmiopt::net {
 
@@ -76,26 +77,16 @@ enum class Liveness : std::uint8_t { Alive, Suspected, Dead };
 
 class FailureDetector {
  public:
-  struct Counters {
-    std::uint64_t heartbeats = 0;        // probes that reached the monitor
-    std::uint64_t heartbeat_misses = 0;  // expected probes that did not
-    std::uint64_t suspicions = 0;        // Alive -> Suspected transitions
-    std::uint64_t deaths = 0;            // machines confirmed dead
-
-    friend bool operator==(const Counters&, const Counters&) = default;
-  };
-
   // `declared_at` is the probe-round virtual time the death latched at.
   using DeathCallback =
       std::function<void(std::uint16_t machine, SimTime declared_at)>;
 
   // `plan` supplies the crash schedule and the heartbeat-drop dice;
   // nullptr (no faults installed) means every expected probe is a hit.
-  // The plan must outlive the detector (the cluster owns both).
+  // Probe rounds are noted on `stats`.  Both must outlive the detector
+  // (the cluster owns all three).
   FailureDetector(const FailureDetectorConfig& cfg, std::size_t machine_count,
-                  const FaultPlan* plan);
-
-  const FailureDetectorConfig& config() const { return cfg_; }
+                  const FaultPlan* plan, NetworkStats& stats);
 
   // Registers a death observer.  Call before traffic flows (registration
   // is not synchronized against poll()); callbacks run outside the
@@ -115,12 +106,6 @@ class FailureDetector {
   // has not been).
   SimTime declared_dead_at(std::uint16_t machine) const;
 
-  Counters counters() const;
-
-  // Heartbeat/suspicion/death events (nullptr detaches).  Call before
-  // traffic flows.
-  void set_recorder(trace::Recorder* recorder) { recorder_ = recorder; }
-
  private:
   struct State {
     std::size_t misses = 0;
@@ -131,14 +116,11 @@ class FailureDetector {
   // firing callbacks inline (they run after the lock drops).
   void run_round(std::int64_t round_ns,
                  std::vector<std::pair<std::uint16_t, SimTime>>& deaths);
-  void trace_instant(trace::EventKind kind, trace::TrackKind track,
-                     std::uint16_t machine, std::int64_t at_ns,
-                     std::uint64_t round) const;
 
   const FailureDetectorConfig cfg_;
   const std::size_t machines_;
   const FaultPlan* const plan_;  // may be null: no faults, all probes hit
-  trace::Recorder* recorder_ = nullptr;
+  NetworkStats& stats_;
   std::vector<DeathCallback> callbacks_;
 
   // Lock-free liveness view for the fast-fail hot path (Cluster::send
@@ -152,11 +134,6 @@ class FailureDetector {
   std::uint64_t round_ = 0;     // index of the next round, for the dice
   bool halted_ = false;         // monitor crashed: probing stopped
   std::vector<State> states_;
-  Counters counters_;
-  // One heartbeat session per monitored machine (m -> monitor): stamps a
-  // dedicated link-sequence space so probe traffic can never perturb the
-  // app links' ARQ attempt tracking or dedup windows.
-  std::vector<std::unique_ptr<wire::Session>> sessions_;
 };
 
 }  // namespace rmiopt::net

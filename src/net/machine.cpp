@@ -13,42 +13,26 @@ void Machine::deliver(wire::Message msg, SimTime arrival) {
 wire::DedupWindow::Verdict Machine::accept_link_seq(std::uint16_t src,
                                                     std::uint64_t link_seq) {
   std::scoped_lock lock(mu_);
-  auto [it, _] = dedup_.try_emplace(src);
-  const std::uint64_t recoveries_before = it->second.late_recoveries();
-  const wire::DedupWindow::Verdict v = it->second.accept(link_seq);
-  if (recorder_ != nullptr) {
-    const bool dropped = v != wire::DedupWindow::Verdict::Fresh;
-    const bool recovered =
-        it->second.late_recoveries() != recoveries_before;
-    if (dropped || recovered) {
-      trace::Event e;
-      e.kind = dropped ? trace::EventKind::DedupDrop
-                       : trace::EventKind::DedupLateRecovery;
-      e.track = trace::TrackKind::Link;
-      e.machine = src;
-      e.peer = id_;
-      e.start_ns = clock_.now().as_nanos();
-      e.seq = static_cast<std::uint32_t>(link_seq);
-      recorder_->record(e);
-    }
+  wire::DedupWindow& window = dedup_[src];
+  const std::uint64_t recoveries_before = window.late_recoveries();
+  const wire::DedupWindow::Verdict v = window.accept(link_seq);
+  if (v != wire::DedupWindow::Verdict::Fresh) {
+    stats_.note(Occurrence::DedupDrop, src, id_, link_seq);
+  } else if (window.late_recoveries() != recoveries_before) {
+    stats_.note(Occurrence::DedupLateRecovery, src, id_, link_seq);
   }
   return v;
 }
 
-void Machine::set_recorder(trace::Recorder* recorder) {
+void Machine::add_receive_counters(NetworkStats::Snapshot& s) const {
+  const support::FramePool::Counters pool = pool_.counters();
+  s.frame_pool_hits += pool.hits;
+  s.frame_pool_misses += pool.misses;
   std::scoped_lock lock(mu_);
-  recorder_ = recorder;
-}
-
-Machine::DedupCounters Machine::dedup_counters() const {
-  std::scoped_lock lock(mu_);
-  DedupCounters c;
   for (const auto& [src, window] : dedup_) {
-    c.forced_slides += window.forced_slides();
-    c.late_recoveries += window.late_recoveries();
-    c.skipped_expired += window.skipped_expired();
+    s.dedup_forced_slides += window.forced_slides();
+    s.dedup_skipped_expired += window.skipped_expired();
   }
-  return c;
 }
 
 std::optional<Envelope> Machine::receive_blocking() {
@@ -83,11 +67,6 @@ void Machine::close() {
     closed_ = true;
   }
   cv_.notify_all();
-}
-
-std::size_t Machine::pending_messages() const {
-  std::scoped_lock lock(mu_);
-  return inbox_.size();
 }
 
 }  // namespace rmiopt::net

@@ -16,10 +16,10 @@
 #include <unordered_map>
 
 #include "net/clock.hpp"
+#include "net/transport.hpp"
 #include "objmodel/heap.hpp"
 #include "serial/cost_model.hpp"
 #include "support/frame_pool.hpp"
-#include "trace/trace.hpp"
 #include "wire/protocol.hpp"
 #include "wire/session.hpp"
 
@@ -32,22 +32,21 @@ struct Envelope {
 
 class Machine {
  public:
+  // Dedup verdicts are reported through `stats`, the cluster's.
   Machine(std::uint16_t id, const om::TypeRegistry& types,
-          const serial::CostModel& cost)
-      : id_(id), heap_(types), cost_(cost) {}
+          const serial::CostModel& cost, NetworkStats& stats)
+      : id_(id), heap_(types), cost_(cost), stats_(stats) {}
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
 
   std::uint16_t id() const { return id_; }
   om::Heap& heap() { return heap_; }
   VirtualClock& clock() { return clock_; }
-  const serial::CostModel& cost() const { return cost_; }
 
   // Receive-ring freelist for the zero-copy delivery path; transports
   // acquire a block here when CostModel::zero_copy_receive is on.  Only
   // ever touched with the knob on, so its counters stay zero otherwise.
   support::FramePool& frame_pool() { return pool_; }
-  const support::FramePool& frame_pool() const { return pool_; }
 
   // Called by the cluster: enqueue a message that arrives at `arrival`.
   void deliver(wire::Message msg, SimTime arrival);
@@ -56,7 +55,8 @@ class Machine {
   // from `src` against this machine's per-source sliding window.  Only a
   // Fresh verdict may be delivered; Duplicate (ARQ retransmit or injected
   // copy) and Stale (reordered copy behind the window) must be discarded
-  // by the transport.
+  // by the transport.  A discard is noted as a DedupDrop, a delayed frame
+  // delivered below a forced horizon as a DedupLateRecovery.
   wire::DedupWindow::Verdict accept_link_seq(std::uint16_t src,
                                              std::uint64_t link_seq);
 
@@ -68,28 +68,18 @@ class Machine {
   // nullopt.
   void close();
 
-  std::size_t pending_messages() const;
-
-  // Attaches a trace recorder (nullptr detaches); dedup verdicts on this
-  // machine's receive windows become DedupDrop / DedupLateRecovery events.
-  void set_recorder(trace::Recorder* recorder);
-
-  // Receive-window health, aggregated over all source links.
-  struct DedupCounters {
-    std::uint64_t forced_slides = 0;
-    std::uint64_t late_recoveries = 0;
-    std::uint64_t skipped_expired = 0;
-  };
-  DedupCounters dedup_counters() const;
+  // Adds the counters this machine's receive path keeps without events —
+  // its windows' forced slides and expiries (over all source links) and
+  // its frame pool's hits and misses — to `s`.
+  void add_receive_counters(NetworkStats::Snapshot& s) const;
 
  private:
   const std::uint16_t id_;
   om::Heap heap_;
   VirtualClock clock_;
   const serial::CostModel& cost_;
+  NetworkStats& stats_;
   support::FramePool pool_;
-
-  trace::Recorder* recorder_ = nullptr;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

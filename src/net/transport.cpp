@@ -1,12 +1,150 @@
 #include "net/transport.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <iterator>
 
 #include "net/machine.hpp"
 #include "support/error.hpp"
 #include "support/frame_pool.hpp"
 
 namespace rmiopt::net {
+
+namespace {
+
+using S = NetworkStats::Snapshot;
+
+// Every Snapshot field, for the field-by-field sum and the atomic read.
+constexpr std::uint64_t S::*kFields[] = {
+    &S::messages, &S::bytes, &S::frames, &S::coalesced, &S::gathered_messages,
+    &S::frame_pool_hits, &S::frame_pool_misses, &S::dropped, &S::duplicated,
+    &S::reordered, &S::corrupted, &S::retransmits, &S::dedup_hits,
+    &S::dedup_forced_slides, &S::dedup_late_recoveries,
+    &S::dedup_skipped_expired, &S::heartbeats, &S::heartbeat_misses,
+    &S::suspicions, &S::machine_deaths};
+static_assert(std::size(kFields) * sizeof(std::uint64_t) == sizeof(S),
+              "kFields must list every Snapshot counter");
+
+// How much an occurrence adds to one counter (indexes note()'s amounts).
+enum Amount : std::uint8_t {
+  kOne,
+  kCount,     // the frame's messages
+  kBytes,     // the frame's charged bytes
+  kBatch,     // the frame's messages when it carries more than one
+  kGathered,  // the frame's scatter-gather messages
+};
+struct Add {
+  std::uint64_t S::*counter = nullptr;  // nullptr ends the row's list
+  Amount amount = kOne;
+};
+
+// Where an occurrence's event sits on the virtual time axis.
+enum Stamp : std::uint8_t {
+  kSender,    // instant at the sending machine's clock
+  kReceiver,  // instant at the receiving machine's clock
+  kRound,     // instant at `ns`, the probe round's virtual time
+  kWait,      // span of `ns`, the wait that just ended on the sender
+  kFlight,    // span from the sender's clock until `ns`, the arrival
+};
+
+struct Row {
+  Add adds[5];
+  trace::EventKind event;
+  trace::TrackKind track;
+  Stamp stamp;
+};
+
+using E = trace::EventKind;
+constexpr trace::TrackKind kLink = trace::TrackKind::Link;
+constexpr trace::TrackKind kMachine = trace::TrackKind::Machine;
+
+// The one table: rows in Occurrence order (docs/OBSERVABILITY.md).
+constexpr Row kTable[] = {
+    // ---- session ----
+    {{}, E::SessionEnqueue, kLink, kSender},  // Enqueue
+    {{}, E::FrameEmit, kLink, kSender},       // FrameEmit
+    {{{&S::retransmits}}, E::Retransmit, kLink, kWait},
+    {{{&S::retransmits}}, E::NackTurnaround, kLink, kWait},  // Nack
+    // ---- transports ----
+    {{{&S::frames}, {&S::messages, kCount}, {&S::bytes, kBytes},
+      {&S::coalesced, kBatch}, {&S::gathered_messages, kGathered}},
+     E::Flight, kLink, kFlight},
+    // A dropped or corrupted frame still crossed the wire: one frame and
+    // its bytes, no messages.
+    {{{&S::dropped}, {&S::frames}, {&S::bytes, kBytes}},
+     E::FaultDrop, kLink, kSender},  // Drop
+    // A crashed endpoint's frame never leaves the NIC: nothing is charged.
+    {{{&S::dropped}}, E::FaultDrop, kLink, kSender},        // CrashDrop
+    {{{&S::duplicated}}, E::FaultDuplicate, kLink, kSender},  // Duplicate
+    {{{&S::reordered}}, E::FaultReorder, kLink, kSender},     // Reorder
+    {{{&S::corrupted}, {&S::frames}, {&S::bytes, kBytes}},
+     E::FaultCorrupt, kLink, kSender},  // Corrupt
+    // Counted as a Flight already; only the verdict is new.
+    {{{&S::corrupted}}, E::FaultCorrupt, kLink, kSender},  // DecodeReject
+    // ---- receive windows ----
+    {{{&S::dedup_hits}}, E::DedupDrop, kLink, kReceiver},
+    {{{&S::dedup_late_recoveries}}, E::DedupLateRecovery, kLink, kReceiver},
+    // ---- failure detector ----
+    {{{&S::heartbeats}}, E::Heartbeat, kLink, kRound},
+    {{{&S::heartbeat_misses}}, E::HeartbeatMiss, kLink, kRound},
+    {{{&S::suspicions}}, E::MachineSuspected, kMachine, kRound},  // Suspected
+    {{{&S::machine_deaths}}, E::MachineDead, kMachine, kRound},   // Dead
+};
+static_assert(std::size(kTable) ==
+              static_cast<std::size_t>(Occurrence::Dead) + 1);
+
+}  // namespace
+
+S& S::operator+=(const Snapshot& o) {
+  for (std::uint64_t Snapshot::*f : kFields) this->*f += o.*f;
+  return *this;
+}
+
+S NetworkStats::snapshot() const {
+  Snapshot s;
+  for (std::uint64_t Snapshot::*f : kFields) {
+    s.*f = std::atomic_ref(live_.*f).load(std::memory_order_relaxed);
+  }
+  return s;
+}
+
+void NetworkStats::note(Occurrence what, std::uint16_t machine,
+                        std::uint16_t peer, std::uint64_t seq,
+                        std::int64_t ns, std::uint32_t count,
+                        std::uint64_t bytes, std::uint32_t gathered) {
+  const Row& row = kTable[static_cast<std::size_t>(what)];
+  const std::uint64_t amounts[] = {1, count, bytes, count > 1 ? count : 0u,
+                                   gathered};
+  for (const Add& add : row.adds) {
+    if (add.counter == nullptr) break;
+    if (const std::uint64_t n = amounts[add.amount]; n != 0) {
+      std::atomic_ref(live_.*add.counter)
+          .fetch_add(n, std::memory_order_relaxed);
+    }
+  }
+  trace::Recorder* const rec = recorder_;
+  if (rec == nullptr) return;
+  // Instants sit at the clock the row names, or at `ns` for probe rounds;
+  // a wait ends at the sender's clock and a flight starts there.
+  const std::int64_t now =
+      row.stamp == kRound ? ns
+                          : now_ns_(row.stamp == kReceiver ? peer : machine);
+  std::int64_t start = now;
+  std::int64_t dur = 0;
+  if (row.stamp == kWait) {
+    start = now - ns;
+    dur = ns;
+  } else if (row.stamp == kFlight) {
+    dur = std::max<std::int64_t>(ns - now, 0);
+  }
+  rec->record({.kind = row.event, .track = row.track, .machine = machine,
+               .peer = row.track == kLink ? peer : std::uint16_t{0},
+               .start_ns = start, .dur_ns = dur,
+               .seq = static_cast<std::uint32_t>(seq), .count = count,
+               .bytes = bytes});
+}
+
+// ---- Transport --------------------------------------------------------------
 
 SimTime Transport::charge_and_schedule(Machine& sender,
                                        std::size_t charged_bytes) {
@@ -22,50 +160,25 @@ SimTime Transport::charge_and_schedule(Machine& sender,
          SimTime::nanos(extra_fragments * cost_.fragment_overhead_ns);
 }
 
-void Transport::probe_frame(const Machine& sender, const Machine& receiver,
-                            const wire::Frame& frame) {
+SimTime Transport::depart(Machine& sender, const Machine& receiver,
+                          const wire::Frame& frame) {
+  const std::size_t charged = frame.charged_bytes();
+  const SimTime arrival = charge_and_schedule(sender, charged);
+  std::uint32_t gathered = 0;  // messages carrying a scatter-gather payload
+  for (const wire::Message& m : frame.messages) {
+    gathered += m.gathered != nullptr;
+  }
+  stats_.note(Occurrence::Flight, sender.id(), receiver.id(), frame.link_seq,
+              arrival.as_nanos(),
+              static_cast<std::uint32_t>(frame.messages.size()), charged,
+              gathered);
   if (frame_probe_) frame_probe_(sender.id(), receiver.id(), frame);
-}
-
-void Transport::trace_flight(Machine& sender, const Machine& receiver,
-                             const wire::Frame& frame,
-                             std::size_t charged_bytes, SimTime arrival) {
-  if (recorder_ == nullptr) return;
-  trace::Event e;
-  e.kind = trace::EventKind::Flight;
-  e.track = trace::TrackKind::Link;
-  e.machine = sender.id();
-  e.peer = receiver.id();
-  e.start_ns = sender.clock().now().as_nanos();
-  e.dur_ns = std::max<std::int64_t>(arrival.as_nanos() - e.start_ns, 0);
-  e.seq = static_cast<std::uint32_t>(frame.link_seq);
-  e.count = static_cast<std::uint32_t>(frame.messages.size());
-  e.bytes = charged_bytes;
-  recorder_->record(e);
-}
-
-void Transport::trace_instant(trace::EventKind kind, Machine& sender,
-                              const Machine& receiver,
-                              std::uint64_t link_seq) {
-  if (recorder_ == nullptr) return;
-  trace::Event e;
-  e.kind = kind;
-  e.track = trace::TrackKind::Link;
-  e.machine = sender.id();
-  e.peer = receiver.id();
-  e.start_ns = sender.clock().now().as_nanos();
-  e.seq = static_cast<std::uint32_t>(link_seq);
-  recorder_->record(e);
+  return arrival;
 }
 
 wire::SendOutcome SimTransport::submit(Machine& sender, Machine& receiver,
                                        const wire::Frame& frame) {
-  const std::size_t charged = frame.charged_bytes();
-  record(frame.messages.size(), charged);
-  stats_.record_gathered(gathered_count(frame));
-  const SimTime arrival = charge_and_schedule(sender, charged);
-  trace_flight(sender, receiver, frame, charged, arrival);
-  probe_frame(sender, receiver, frame);
+  const SimTime arrival = depart(sender, receiver, frame);
 
   // Physical transmission: only the byte image crosses the "wire".  For
   // gathered payloads encode_frame walks the segment list — this is where
@@ -78,7 +191,7 @@ wire::SendOutcome SimTransport::submit(Machine& sender, Machine& receiver,
     // payload view (or borrowing object) releases it; a dedup-rejected
     // duplicate drops its ref right here when `image` dies.
     support::FramePool::BlockRef block =
-        receiver.frame_pool().acquire(charged + 32);
+        receiver.frame_pool().acquire(frame.charged_bytes() + 32);
     wire::encode_frame_into(frame, block->bytes);
     const std::uint8_t* data = block->bytes.data();
     const std::size_t size = block->bytes.size();
@@ -92,7 +205,8 @@ wire::SendOutcome SimTransport::submit(Machine& sender, Machine& receiver,
   } catch (const DecodeError&) {
     // A frame this backend itself encoded cannot fail to decode unless
     // something corrupted it in flight; fail closed and let ARQ resend.
-    stats_.record_corrupted();
+    stats_.note(Occurrence::DecodeReject, sender.id(), receiver.id(),
+                frame.link_seq);
     return wire::SendOutcome::Nacked;
   }
 
@@ -100,7 +214,6 @@ wire::SendOutcome SimTransport::submit(Machine& sender, Machine& receiver,
   // receiver already has is acknowledged but not delivered again.
   if (receiver.accept_link_seq(sender.id(), received.link_seq) !=
       wire::DedupWindow::Verdict::Fresh) {
-    stats_.record_dedup_hit();
     return wire::SendOutcome::Delivered;
   }
 
@@ -113,15 +226,9 @@ wire::SendOutcome SimTransport::submit(Machine& sender, Machine& receiver,
 wire::SendOutcome LoopbackTransport::submit(Machine& sender,
                                             Machine& receiver,
                                             const wire::Frame& frame) {
-  const std::size_t charged = frame.charged_bytes();
-  record(frame.messages.size(), charged);
-  stats_.record_gathered(gathered_count(frame));
-  const SimTime arrival = charge_and_schedule(sender, charged);
-  trace_flight(sender, receiver, frame, charged, arrival);
-  probe_frame(sender, receiver, frame);
+  const SimTime arrival = depart(sender, receiver, frame);
   if (receiver.accept_link_seq(sender.id(), frame.link_seq) !=
       wire::DedupWindow::Verdict::Fresh) {
-    stats_.record_dedup_hit();
     return wire::SendOutcome::Delivered;
   }
   for (const wire::Message& msg : frame.messages) {
@@ -164,12 +271,12 @@ wire::SendOutcome LoopbackTransport::submit(Machine& sender,
 // ---- FaultyTransport --------------------------------------------------------
 
 FaultyTransport::FaultyTransport(const serial::CostModel& cost,
+                                 NetworkStats& stats,
                                  std::unique_ptr<Transport> inner,
                                  FaultPlan plan)
-    : Transport(cost),
+    : Transport(cost, stats),
       plan_(std::move(plan)),
-      inner_(std::move(inner)),
-      name_("faulty(" + std::string(inner_->name()) + ")") {}
+      inner_(std::move(inner)) {}
 
 FaultyTransport::LinkState& FaultyTransport::link_state(std::uint16_t src,
                                                         std::uint16_t dst) {
@@ -200,7 +307,6 @@ wire::SendOutcome FaultyTransport::submit(Machine& sender, Machine& receiver,
       late_release = std::move(st.late);
     }
   }
-  if (attempt > 0) stats_.record_retransmit();
 
   // A crashed machine neither sends nor receives: the frame vanishes and
   // the sender's ARQ times out.  (Charging the attempt would perturb the
@@ -209,8 +315,7 @@ wire::SendOutcome FaultyTransport::submit(Machine& sender, Machine& receiver,
   // session.)
   if (plan_.crashed(dst, receiver.clock().now().as_nanos()) ||
       plan_.crashed(src, sender.clock().now().as_nanos())) {
-    stats_.record_dropped();
-    stats_.record_timeout();
+    stats_.note(Occurrence::CrashDrop, src, dst, frame.link_seq);
     return wire::SendOutcome::Timeout;
   }
 
@@ -221,10 +326,8 @@ wire::SendOutcome FaultyTransport::submit(Machine& sender, Machine& receiver,
   // checksum rejects it and NACKs.  The wasted transmission is charged
   // like any other frame (bytes crossed the wire; nothing was delivered).
   if (dice.next_double() < faults.corrupt) {
-    stats_.record_corrupted();
-    trace_instant(trace::EventKind::FaultCorrupt, sender, receiver,
-                  frame.link_seq);
-    record(0, frame.charged_bytes());
+    stats_.note(Occurrence::Corrupt, src, dst, frame.link_seq, 0, 0,
+                frame.charged_bytes());
     (void)charge_and_schedule(sender, frame.charged_bytes());
     // Demonstrate the fail-closed path end to end: flip one bit of the
     // real image and insist the decoder rejects it.
@@ -247,11 +350,8 @@ wire::SendOutcome FaultyTransport::submit(Machine& sender, Machine& receiver,
   // Drop: the frame is lost; the sender's only signal is silence.  The
   // send-descriptor cost was still paid.
   if (dice.next_double() < faults.drop) {
-    stats_.record_dropped();
-    stats_.record_timeout();
-    trace_instant(trace::EventKind::FaultDrop, sender, receiver,
-                  frame.link_seq);
-    record(0, frame.charged_bytes());
+    stats_.note(Occurrence::Drop, src, dst, frame.link_seq, 0, 0,
+                frame.charged_bytes());
     (void)charge_and_schedule(sender, frame.charged_bytes());
     return wire::SendOutcome::Timeout;
   }
@@ -262,9 +362,7 @@ wire::SendOutcome FaultyTransport::submit(Machine& sender, Machine& receiver,
   const wire::SendOutcome out = inner_->submit(sender, receiver, frame);
 
   if (duplicate) {
-    stats_.record_duplicated();
-    trace_instant(trace::EventKind::FaultDuplicate, sender, receiver,
-                  frame.link_seq);
+    stats_.note(Occurrence::Duplicate, src, dst, frame.link_seq);
     (void)inner_->submit(sender, receiver, frame);  // window discards it
   }
   if (reorder) {
@@ -275,21 +373,20 @@ wire::SendOutcome FaultyTransport::submit(Machine& sender, Machine& receiver,
     link_state(src, dst).late = std::make_unique<wire::Frame>(frame);
   }
   if (late_release != nullptr) {
-    stats_.record_reordered();
-    trace_instant(trace::EventKind::FaultReorder, sender, receiver,
-                  late_release->link_seq);
+    stats_.note(Occurrence::Reorder, src, dst, late_release->link_seq);
     (void)inner_->submit(sender, receiver, *late_release);  // stale: dedup
   }
   return out;
 }
 
 std::unique_ptr<Transport> make_transport(TransportKind kind,
-                                          const serial::CostModel& cost) {
+                                          const serial::CostModel& cost,
+                                          NetworkStats& stats) {
   switch (kind) {
     case TransportKind::Sim:
-      return std::make_unique<SimTransport>(cost);
+      return std::make_unique<SimTransport>(cost, stats);
     case TransportKind::Loopback:
-      return std::make_unique<LoopbackTransport>(cost);
+      return std::make_unique<LoopbackTransport>(cost, stats);
   }
   RMIOPT_CHECK(false, "unknown transport kind");
   return nullptr;

@@ -24,18 +24,14 @@
 //    the same charge_and_schedule path as healthy traffic, keeping runs
 //    reproducible seed for seed.
 //
-// Each transport instance owns its own NetworkStats, so a cluster with
-// several backends can report per-transport traffic separately and
-// aggregate with NetworkStats::Snapshot::operator+=.
+// Every backend reports its flights and faults through the cluster's one
+// NetworkStats; none keeps counters of its own.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 
 #include "net/fault.hpp"
@@ -49,8 +45,19 @@ namespace rmiopt::net {
 
 class Machine;
 
-// Traffic counters.  The raw atomics stay private: readers take a
-// Snapshot (a plain value type) and aggregate snapshots with +=.
+using wire::Occurrence;
+
+// The network stack's counters and its one reporting point.
+//
+// Everything the network counts or traces is a wire::Occurrence: the
+// sessions' enqueues, frames, retransmits and NACKs, the transports'
+// flights and injected faults, the receive windows' verdicts and the
+// failure detector's probe rounds.  note() looks each one up in one table
+// (transport.cpp, docs/OBSERVABILITY.md) that names its counter(s) and
+// amounts and its trace event and track; it bumps the counters and, with
+// a recorder attached, records the event, so a counter and the event for
+// the same occurrence cannot disagree.  net::Cluster owns the one
+// instance and hands it to every layer below it.
 class NetworkStats {
  public:
   struct Snapshot {
@@ -73,45 +80,21 @@ class NetworkStats {
     std::uint64_t corrupted = 0;    // frames rejected by the checksum
     std::uint64_t retransmits = 0;  // ARQ re-sends of an undelivered frame
     std::uint64_t dedup_hits = 0;   // frames discarded by a receive window
-    std::uint64_t timeouts = 0;     // retransmit timers the sender waited out
 
-    // Receive-window health (filled in by Cluster::stats(), which owns
-    // the machines the windows live on) — all zero on a healthy network.
+    // Receive-window health — all zero on a healthy network.  Slides and
+    // expiries are the windows' own (Machine::add_receive_counters).
     std::uint64_t dedup_forced_slides = 0;   // horizon forced past a gap
     std::uint64_t dedup_late_recoveries = 0; // delayed frames still delivered
     std::uint64_t dedup_skipped_expired = 0; // gap entries that aged out
 
-    // Failure detection (filled in by Cluster::stats() from the detector;
-    // all zero with the detector disabled, the default).
+    // Failure detection (all zero with the detector disabled, the
+    // default).
     std::uint64_t heartbeats = 0;        // probes that reached the monitor
     std::uint64_t heartbeat_misses = 0;  // expected probes that did not
     std::uint64_t suspicions = 0;        // machines marked Suspected
     std::uint64_t machine_deaths = 0;    // machines confirmed dead
 
-    Snapshot& operator+=(const Snapshot& o) {
-      messages += o.messages;
-      bytes += o.bytes;
-      frames += o.frames;
-      coalesced += o.coalesced;
-      gathered_messages += o.gathered_messages;
-      frame_pool_hits += o.frame_pool_hits;
-      frame_pool_misses += o.frame_pool_misses;
-      dropped += o.dropped;
-      duplicated += o.duplicated;
-      reordered += o.reordered;
-      corrupted += o.corrupted;
-      retransmits += o.retransmits;
-      dedup_hits += o.dedup_hits;
-      timeouts += o.timeouts;
-      dedup_forced_slides += o.dedup_forced_slides;
-      dedup_late_recoveries += o.dedup_late_recoveries;
-      dedup_skipped_expired += o.dedup_skipped_expired;
-      heartbeats += o.heartbeats;
-      heartbeat_misses += o.heartbeat_misses;
-      suspicions += o.suspicions;
-      machine_deaths += o.machine_deaths;
-      return *this;
-    }
+    Snapshot& operator+=(const Snapshot& o);
 
     std::uint64_t faults() const {
       return dropped + duplicated + reordered + corrupted;
@@ -121,69 +104,41 @@ class NetworkStats {
     friend bool operator==(const Snapshot&, const Snapshot&) = default;
   };
 
-  void record_frame(std::size_t message_count, std::size_t charged_bytes) {
-    messages_.fetch_add(message_count, std::memory_order_relaxed);
-    bytes_.fetch_add(charged_bytes, std::memory_order_relaxed);
-    frames_.fetch_add(1, std::memory_order_relaxed);
-    if (message_count > 1) {
-      coalesced_.fetch_add(message_count, std::memory_order_relaxed);
-    }
-  }
+  // Reads machine `m`'s virtual clock in nanoseconds.  note() calls it
+  // only with a recorder attached, for the rows stamped "now".
+  using ClockFn = std::function<std::int64_t(std::uint16_t m)>;
 
-  void record_gathered(std::size_t message_count) {
-    if (message_count > 0) {
-      gathered_messages_.fetch_add(message_count, std::memory_order_relaxed);
-    }
-  }
+  explicit NetworkStats(ClockFn now_ns = nullptr)
+      : now_ns_(std::move(now_ns)) {}
+  NetworkStats(const NetworkStats&) = delete;
+  NetworkStats& operator=(const NetworkStats&) = delete;
 
-  void record_dropped() { dropped_.fetch_add(1, std::memory_order_relaxed); }
-  void record_duplicated() {
-    duplicated_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_reordered() {
-    reordered_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_corrupted() {
-    corrupted_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_retransmit() {
-    retransmits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_dedup_hit() {
-    dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_timeout() { timeouts_.fetch_add(1, std::memory_order_relaxed); }
+  // Reports one occurrence on the link `machine` -> `peer` (for the
+  // detector's verdicts, on machine `machine`).  `seq` is the frame's
+  // link_seq or the probe round.  `ns` is the wait that just ended on the
+  // sender (Retransmit, Nack), the frame's arrival time (Flight) or the
+  // probe round's virtual time (detector rows); other rows ignore it.
+  // `count`, `bytes` and `gathered` are the frame's messages, bytes and
+  // scatter-gather messages, for the rows whose amounts use them.  Without
+  // a recorder, note() bumps counters and reads no clock.
+  void note(Occurrence what, std::uint16_t machine, std::uint16_t peer,
+            std::uint64_t seq, std::int64_t ns = 0, std::uint32_t count = 0,
+            std::uint64_t bytes = 0, std::uint32_t gathered = 0);
 
-  Snapshot snapshot() const {
-    Snapshot s;
-    s.messages = messages_.load(std::memory_order_relaxed);
-    s.bytes = bytes_.load(std::memory_order_relaxed);
-    s.frames = frames_.load(std::memory_order_relaxed);
-    s.coalesced = coalesced_.load(std::memory_order_relaxed);
-    s.gathered_messages = gathered_messages_.load(std::memory_order_relaxed);
-    s.dropped = dropped_.load(std::memory_order_relaxed);
-    s.duplicated = duplicated_.load(std::memory_order_relaxed);
-    s.reordered = reordered_.load(std::memory_order_relaxed);
-    s.corrupted = corrupted_.load(std::memory_order_relaxed);
-    s.retransmits = retransmits_.load(std::memory_order_relaxed);
-    s.dedup_hits = dedup_hits_.load(std::memory_order_relaxed);
-    s.timeouts = timeouts_.load(std::memory_order_relaxed);
-    return s;
-  }
+  Snapshot snapshot() const;
+
+  // Attaches a trace recorder (nullptr detaches).  Call before traffic
+  // flows.
+  void set_recorder(trace::Recorder* recorder) { recorder_ = recorder; }
+  trace::Recorder* recorder() const { return recorder_; }
 
  private:
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> frames_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> gathered_messages_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> duplicated_{0};
-  std::atomic<std::uint64_t> reordered_{0};
-  std::atomic<std::uint64_t> corrupted_{0};
-  std::atomic<std::uint64_t> retransmits_{0};
-  std::atomic<std::uint64_t> dedup_hits_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
+  const ClockFn now_ns_;
+  trace::Recorder* recorder_ = nullptr;
+  // Bumped and read field by field through relaxed std::atomic_ref:
+  // senders on different links, dispatchers and detector polls note
+  // concurrently, and the per-frame path takes no lock.
+  mutable Snapshot live_;
 };
 
 enum class TransportKind {
@@ -191,24 +146,13 @@ enum class TransportKind {
   Loopback,  // in-process struct delivery, same cost model
 };
 
-constexpr std::string_view to_string(TransportKind k) {
-  switch (k) {
-    case TransportKind::Sim:
-      return "sim";
-    case TransportKind::Loopback:
-      return "loopback";
-  }
-  return "?";
-}
-
 class Transport {
  public:
-  explicit Transport(const serial::CostModel& cost) : cost_(cost) {}
+  Transport(const serial::CostModel& cost, NetworkStats& stats)
+      : cost_(cost), stats_(stats) {}
   virtual ~Transport() = default;
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
-
-  virtual std::string_view name() const = 0;
 
   // Moves `frame` from `sender` to `receiver`: charges the sender's
   // clock, computes the arrival time, and delivers every member message
@@ -219,14 +163,6 @@ class Transport {
   // Delivered — the receiver has the frame).
   virtual wire::SendOutcome submit(Machine& sender, Machine& receiver,
                                    const wire::Frame& frame) = 0;
-
-  virtual NetworkStats::Snapshot stats() const { return stats_.snapshot(); }
-
-  // Attaches a trace recorder (nullptr detaches): frame traversals become
-  // Flight spans, injected faults become instants, on the link tracks.
-  virtual void set_recorder(trace::Recorder* recorder) {
-    recorder_ = recorder;
-  }
 
   // Observes every frame a healthy backend is about to carry (called once
   // per submit, before delivery, from the sending thread).  Benches use it
@@ -245,34 +181,13 @@ class Transport {
   // overhead for frames larger than one MTU).
   SimTime charge_and_schedule(Machine& sender, std::size_t charged_bytes);
 
-  void record(std::size_t message_count, std::size_t charged_bytes) {
-    stats_.record_frame(message_count, charged_bytes);
-  }
-
-  void probe_frame(const Machine& sender, const Machine& receiver,
-                   const wire::Frame& frame);
-
-  // Messages in `frame` carrying a scatter-gather payload.
-  static std::size_t gathered_count(const wire::Frame& frame) {
-    std::size_t n = 0;
-    for (const wire::Message& m : frame.messages) n += m.gathered != nullptr;
-    return n;
-  }
-
-  // Flight span on the src->dst link track: from the moment the sender
-  // finished paying the send descriptor until the frame reaches the
-  // receiver's NIC.
-  void trace_flight(Machine& sender, const Machine& receiver,
-                    const wire::Frame& frame, std::size_t charged_bytes,
-                    SimTime arrival);
-
-  // Instant on the src->dst link track (injected faults).
-  void trace_instant(trace::EventKind kind, Machine& sender,
-                     const Machine& receiver, std::uint64_t link_seq);
+  // A healthy backend's departure of `frame`: charges it, notes its Flight
+  // and shows it to the frame probe.  Returns its arrival time.
+  SimTime depart(Machine& sender, const Machine& receiver,
+                 const wire::Frame& frame);
 
   const serial::CostModel& cost_;
-  NetworkStats stats_;
-  trace::Recorder* recorder_ = nullptr;
+  NetworkStats& stats_;
   FrameProbe frame_probe_;
 };
 
@@ -280,7 +195,6 @@ class Transport {
 class SimTransport final : public Transport {
  public:
   using Transport::Transport;
-  std::string_view name() const override { return "sim"; }
   wire::SendOutcome submit(Machine& sender, Machine& receiver,
                            const wire::Frame& frame) override;
 };
@@ -289,7 +203,6 @@ class SimTransport final : public Transport {
 class LoopbackTransport final : public Transport {
  public:
   using Transport::Transport;
-  std::string_view name() const override { return "loopback"; }
   wire::SendOutcome submit(Machine& sender, Machine& receiver,
                            const wire::Frame& frame) override;
 };
@@ -299,32 +212,19 @@ class LoopbackTransport final : public Transport {
 // runs are reproducible regardless of thread timing; see net/fault.hpp.
 class FaultyTransport final : public Transport {
  public:
-  FaultyTransport(const serial::CostModel& cost,
+  // The decorator reports its faults; the inner backend reports the
+  // flights of whatever it actually delivers.
+  FaultyTransport(const serial::CostModel& cost, NetworkStats& stats,
                   std::unique_ptr<Transport> inner, FaultPlan plan);
 
-  std::string_view name() const override { return name_; }
   wire::SendOutcome submit(Machine& sender, Machine& receiver,
                            const wire::Frame& frame) override;
-
-  // The decorator records its fault events; the inner backend records the
-  // flights of whatever it actually delivers.
-  void set_recorder(trace::Recorder* recorder) override {
-    Transport::set_recorder(recorder);
-    inner_->set_recorder(recorder);
-  }
 
   // The probe belongs on the inner backend: it should see what is actually
   // carried (retries, duplicates, late copies), not what the fault plan
   // swallowed.
   void set_frame_probe(FrameProbe probe) override {
     inner_->set_frame_probe(std::move(probe));
-  }
-
-  // Own fault counters plus the wrapped backend's traffic counters.
-  NetworkStats::Snapshot stats() const override {
-    NetworkStats::Snapshot s = stats_.snapshot();
-    s += inner_->stats();
-    return s;
   }
 
   const FaultPlan& plan() const { return plan_; }
@@ -343,12 +243,12 @@ class FaultyTransport final : public Transport {
 
   const FaultPlan plan_;
   std::unique_ptr<Transport> inner_;
-  std::string name_;
   std::mutex mu_;
   std::unordered_map<std::uint32_t, LinkState> links_;
 };
 
 std::unique_ptr<Transport> make_transport(TransportKind kind,
-                                          const serial::CostModel& cost);
+                                          const serial::CostModel& cost,
+                                          NetworkStats& stats);
 
 }  // namespace rmiopt::net

@@ -1049,8 +1049,8 @@ void RmiSystem::dispatch_loop(std::uint16_t machine_id) {
       continue;
     }
     if (h.kind == wire::MsgKind::Heartbeat) {
-      // Defensive: detector probes never enter inboxes (they terminate in
-      // the detector's own sink), but a hand-crafted frame could carry the
+      // Defensive: detector probes never become messages (the detector
+      // rolls them in place), but a hand-crafted frame could carry the
       // kind.  Swallow it rather than misread it as a reply.
       continue;
     }

@@ -28,7 +28,8 @@ enum class MsgKind : std::uint8_t {
   Return,     // response with serialized return value
   Ack,        // response without a value (return elided at the call site)
   Exception,  // response carrying a remote exception message
-  Heartbeat,  // liveness probe (failure detector); no payload, no reply
+  Heartbeat,  // reserved: detector probes are never sent as messages;
+              // kept so Cancel and Reject keep their wire values
   Cancel,     // best-effort cancellation of an in-flight Call (same seq)
   Reject,     // typed refusal: payload = RejectCode u8 + reason string
 };

@@ -11,37 +11,16 @@ bool Session::coalescible(const Message& msg) const {
          (msg.payload_size() <= cfg_.max_batch_payload || msg.coalesce_hint);
 }
 
-void Session::trace_event(trace::EventKind kind, std::uint64_t link_seq,
-                          std::int64_t dur_ns, std::uint64_t bytes,
-                          std::uint32_t count) const {
-  if (recorder_ == nullptr) return;
-  trace::Event e;
-  e.kind = kind;
-  e.track = trace::TrackKind::Link;
-  e.machine = src_;
-  e.peer = dst_;
-  e.start_ns = now_ns_ ? now_ns_() : 0;
-  // Spans cover the charged wait that *ended* now: shift the start back.
-  if (dur_ns > 0) e.start_ns -= dur_ns;
-  e.dur_ns = dur_ns;
-  e.seq = static_cast<std::uint32_t>(link_seq);
-  e.bytes = bytes;
-  e.count = count;
-  recorder_->record(e);
-}
-
 void Session::seal_and_emit(const FrameSink& sink) {
   if (queue_.empty()) return;
   Frame frame;
   frame.link_seq = next_link_seq_++;
   frame.messages = std::move(queue_);
   queue_.clear();
-  if (recorder_ != nullptr) {
-    std::uint64_t payload = 0;
-    for (const Message& m : frame.messages) payload += m.payload_size();
-    trace_event(trace::EventKind::FrameEmit, frame.link_seq, 0, payload,
-                static_cast<std::uint32_t>(frame.messages.size()));
-  }
+  std::uint64_t payload = 0;
+  for (const Message& m : frame.messages) payload += m.payload_size();
+  report_(Occurrence::FrameEmit, frame.link_seq, 0,
+          static_cast<std::uint32_t>(frame.messages.size()), payload);
 
   // Stop-and-wait ARQ.  The sink's return value is the (implicit) ACK or
   // NACK; the waiting it stands for is charged in virtual time.  A
@@ -56,17 +35,13 @@ void Session::seal_and_emit(const FrameSink& sink) {
           " dead: frame " + std::to_string(frame.link_seq) +
           " undelivered after " + std::to_string(attempt + 1) + " attempts");
     }
-    ++retransmits_;
     if (out == SendOutcome::Nacked) {
       // The receiver told us promptly; pay one control round trip.
-      if (charge_) charge_(cfg_.nack_turnaround_ns);
-      trace_event(trace::EventKind::NackTurnaround, frame.link_seq,
-                  cfg_.nack_turnaround_ns, 0, 0);
+      report_(Occurrence::Nack, frame.link_seq, cfg_.nack_turnaround_ns, 0, 0);
     } else {
       // Silence: wait out the timer, backing off exponentially.
       const std::int64_t backoff = cfg_.retransmit_timeout_ns << doublings;
-      if (charge_) charge_(backoff);
-      trace_event(trace::EventKind::Retransmit, frame.link_seq, backoff, 0, 0);
+      report_(Occurrence::Retransmit, frame.link_seq, backoff, 0, 0);
       if (doublings < cfg_.max_backoff_doublings) ++doublings;
     }
   }
@@ -88,8 +63,8 @@ void Session::post(Message msg, const FrameSink& sink) {
   const std::uint64_t payload = msg.payload_size();
   queue_.push_back(std::move(msg));
   if (hold && queue_.size() < cfg_.max_batch_messages) {
-    trace_event(trace::EventKind::SessionEnqueue, next_link_seq_, 0, payload,
-                static_cast<std::uint32_t>(queue_.size()));
+    report_(Occurrence::Enqueue, next_link_seq_, 0,
+            static_cast<std::uint32_t>(queue_.size()), payload);
     return;
   }
   seal_and_emit(sink);
@@ -103,18 +78,6 @@ void Session::flush(const FrameSink& sink) {
 std::size_t Session::queued() const {
   std::scoped_lock lock(mu_);
   return queue_.size();
-}
-
-std::uint64_t Session::retransmits() const {
-  std::scoped_lock lock(mu_);
-  return retransmits_;
-}
-
-void Session::set_trace(trace::Recorder* recorder,
-                        std::function<std::int64_t()> now_ns) {
-  std::scoped_lock lock(mu_);
-  recorder_ = recorder;
-  now_ns_ = std::move(now_ns);
 }
 
 }  // namespace rmiopt::wire

@@ -15,10 +15,11 @@
 //  * reliability — a stop-and-wait ARQ: the sink reports whether the
 //    frame was delivered (implicit ACK), timed out (lost in transit), or
 //    was NACKed (the receiver's checksum rejected it); the session
-//    charges the virtual retransmit timer — exponential backoff for
-//    timeouts, one control round trip for NACKs — and retransmits until
-//    the frame lands or `max_retransmits` is exhausted, at which point it
-//    declares the link dead with a ProtocolError.
+//    charges the virtual retransmit timer through its report hook —
+//    exponential backoff for timeouts, one control round trip for NACKs
+//    — and retransmits until the frame lands or `max_retransmits` is
+//    exhausted, at which point it declares the link dead with a
+//    ProtocolError.
 //
 // Coalescing is OFF by default (max_batch_messages = 1): the paper's
 // model sends every message immediately, and synchronous RMI callers
@@ -27,6 +28,11 @@
 // a fault-free transport the ARQ is pure pass-through: every frame is
 // delivered on the first attempt and no timer is ever charged, so the
 // paper's deterministic numbers are untouched bit for bit.
+//
+// The session has no clock and counts and traces nothing itself: it
+// reports each of its occurrences (enqueue, frame emit, retransmit, NACK)
+// through one hook, which net::Cluster binds to the sending machine's
+// clock and the network's reporting point.
 #pragma once
 
 #include <algorithm>
@@ -36,7 +42,6 @@
 #include <optional>
 #include <set>
 
-#include "trace/trace.hpp"
 #include "wire/framing.hpp"
 
 namespace rmiopt::wire {
@@ -68,7 +73,8 @@ struct SessionConfig {
 // What became of one transmission attempt of a frame.  The simulated
 // network is synchronous, so the acknowledgement that a real link would
 // carry as a control frame is modelled as the sink's return value; the
-// *cost* of waiting for it is charged in virtual time by the session.
+// *cost* of waiting for it is reported by the session (ReportFn) and
+// charged in virtual time to the sender.
 enum class SendOutcome {
   Delivered,  // frame reached the receiver intact (implicit ACK)
   Timeout,    // frame (or its ACK) lost; sender waits out the timer
@@ -80,20 +86,44 @@ enum class SendOutcome {
 // *same* frame on retransmission.
 using FrameSink = std::function<SendOutcome(const Frame&)>;
 
-// Charges virtual nanoseconds to the sending machine's clock (the
-// session is a wire-layer object and has no machine of its own).
-using ChargeFn = std::function<void(std::int64_t)>;
+// Everything the network stack counts or traces, from this session down
+// to the failure detector.  It is declared here, in the lowest layer that
+// reports, because wire/ does not include net/; net::NetworkStats::note()
+// maps each one to its counter(s) and trace event through one table
+// (docs/OBSERVABILITY.md).
+enum class Occurrence : std::uint8_t {
+  // session (reported through ReportFn)
+  Enqueue, FrameEmit, Retransmit, Nack,
+  // transports
+  Flight, Drop, CrashDrop, Duplicate, Reorder, Corrupt, DecodeReject,
+  // receive windows
+  DedupDrop, DedupLateRecovery,
+  // failure detector
+  Heartbeat, HeartbeatMiss, Suspected, Dead,
+};
+
+// Reports one of the session's occurrences on its link: the frame's
+// link_seq (for Enqueue, the one the message will get), the virtual time
+// the sender waits before retransmitting (Retransmit, Nack), which the
+// hook charges to the sending machine's clock, and the message count and
+// payload bytes (Enqueue: queue depth and the message's payload; FrameEmit:
+// the frame's).
+using ReportFn =
+    std::function<void(Occurrence what, std::uint64_t link_seq,
+                       std::int64_t wait_ns, std::uint32_t count,
+                       std::uint64_t bytes)>;
 
 class Session {
  public:
+  // Without a `report` hook, nothing observes the session or charges waits.
   Session(std::uint16_t src, std::uint16_t dst, const SessionConfig& cfg,
-          ChargeFn charge = nullptr)
-      : src_(src), dst_(dst), cfg_(cfg), charge_(std::move(charge)) {}
+          ReportFn report = nullptr)
+      : src_(src),
+        dst_(dst),
+        cfg_(cfg),
+        report_(report ? std::move(report) : ReportFn([](auto&&...) {})) {}
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
-
-  std::uint16_t src() const { return src_; }
-  std::uint16_t dst() const { return dst_; }
 
   // Queues `msg` and emits zero or more ready frames into `sink`,
   // retransmitting each until the sink reports delivery.  With batching
@@ -107,32 +137,17 @@ class Session {
   // Messages currently held in the coalescing queue (introspection).
   std::size_t queued() const;
 
-  // Frames this session had to retransmit (0 on a healthy link).
-  std::uint64_t retransmits() const;
-
-  // Attaches a trace recorder (nullptr detaches).  `now_ns` supplies the
-  // sending machine's virtual clock — the session is a wire-layer object
-  // and has no clock of its own.  Call before traffic flows.
-  void set_trace(trace::Recorder* recorder,
-                 std::function<std::int64_t()> now_ns);
-
  private:
   bool coalescible(const Message& msg) const;
   void seal_and_emit(const FrameSink& sink);  // callers hold mu_
-  void trace_event(trace::EventKind kind, std::uint64_t link_seq,
-                   std::int64_t dur_ns, std::uint64_t bytes,
-                   std::uint32_t count) const;
 
   const std::uint16_t src_;
   const std::uint16_t dst_;
   const SessionConfig cfg_;
-  const ChargeFn charge_;
-  trace::Recorder* recorder_ = nullptr;
-  std::function<std::int64_t()> now_ns_;
+  const ReportFn report_;
 
   mutable std::mutex mu_;
   std::uint64_t next_link_seq_ = 0;
-  std::uint64_t retransmits_ = 0;
   std::vector<Message> queue_;
 };
 

@@ -210,7 +210,11 @@ TEST_F(GatherWriterTest, RetransmittedGatheredFrameIsByteIdentical) {
   // Deliberately NOT sealing here: Session::post seals defensively before
   // the frame can be queued or retransmitted.
 
-  wire::Session session(0, 1, wire::SessionConfig{});
+  std::uint64_t retransmits = 0;
+  wire::Session session(0, 1, wire::SessionConfig{},
+                        [&](wire::Occurrence what, auto, auto, auto, auto) {
+                          retransmits += what == wire::Occurrence::Retransmit;
+                        });
   std::vector<std::vector<std::uint8_t>> attempts;
   session.post(std::move(msg), [&](const wire::Frame& frame) {
     attempts.push_back(std::move(wire::encode_frame(frame)).take());
@@ -226,7 +230,7 @@ TEST_F(GatherWriterTest, RetransmittedGatheredFrameIsByteIdentical) {
 
   ASSERT_EQ(attempts.size(), 2u);
   EXPECT_EQ(attempts[0], attempts[1]);
-  EXPECT_EQ(session.retransmits(), 1u);
+  EXPECT_EQ(retransmits, 1u);
 
   // And the image carries the *pre-mutation* bytes: the frame was sealed
   // when it entered the session, not re-gathered per attempt.

@@ -38,7 +38,8 @@ TEST(FailureDetector, DeclaresACrashedMachineDeadWithinTheBudget) {
   plan.seed = 7;
   plan.crash_at(1, 100'000);
   const net::FailureDetectorConfig cfg = enabled_detector();
-  net::FailureDetector fd(cfg, 3, &plan);
+  net::NetworkStats stats;
+  net::FailureDetector fd(cfg, 3, &plan, stats);
 
   // Nothing is declared before virtual time reaches the miss rounds.
   fd.poll(SimTime::nanos(90'000));
@@ -50,8 +51,8 @@ TEST(FailureDetector, DeclaresACrashedMachineDeadWithinTheBudget) {
   const std::int64_t dead_at = fd.declared_dead_at(1).as_nanos();
   EXPECT_GT(dead_at, 100'000);
   EXPECT_LE(dead_at, 100'000 + cfg.detection_budget_ns());
-  const auto c = fd.counters();
-  EXPECT_EQ(c.deaths, 1u);
+  const auto c = stats.snapshot();
+  EXPECT_EQ(c.machine_deaths, 1u);
   EXPECT_EQ(c.suspicions, 1u);
   EXPECT_GE(c.heartbeat_misses, cfg.confirm_after_misses);
 }
@@ -60,7 +61,8 @@ TEST(FailureDetector, CrashExactlyAtARoundBoundaryCountsAsAMiss) {
   net::FaultPlan plan;
   plan.crash_at(1, 80'000);  // exactly round 2's probe time
   const net::FailureDetectorConfig cfg = enabled_detector();
-  net::FailureDetector fd(cfg, 2, &plan);
+  net::NetworkStats stats;
+  net::FailureDetector fd(cfg, 2, &plan, stats);
   fd.poll(SimTime::nanos(1'000'000));
   ASSERT_TRUE(fd.dead(1));
   // crashed() is boundary-inclusive: the round *at* the crash instant is
@@ -76,7 +78,8 @@ TEST(FailureDetector, CrashExactlyAtARoundBoundaryCountsAsAMiss) {
 TEST(FailureDetector, DeathIsLatchedAndCallbacksFireExactlyOnce) {
   net::FaultPlan plan;
   plan.crash_at(1, 0);
-  net::FailureDetector fd(enabled_detector(), 2, &plan);
+  net::NetworkStats stats;
+  net::FailureDetector fd(enabled_detector(), 2, &plan, stats);
   std::atomic<int> fired{0};
   fd.on_death([&](std::uint16_t machine, SimTime) {
     EXPECT_EQ(machine, 1);
@@ -87,20 +90,21 @@ TEST(FailureDetector, DeathIsLatchedAndCallbacksFireExactlyOnce) {
   fd.poll(SimTime::nanos(3'000'000));
   EXPECT_TRUE(fd.dead(1));
   EXPECT_EQ(fired.load(), 1);
-  EXPECT_EQ(fd.counters().deaths, 1u);
+  EXPECT_EQ(stats.snapshot().machine_deaths, 1u);
 }
 
 TEST(FailureDetector, MonitorCrashHaltsProbingInsteadOfMassDeclaring) {
   net::FaultPlan plan;
   plan.crash_at(0, 50'000);  // the monitor itself dies
   plan.crash_at(1, 50'000);
-  net::FailureDetector fd(enabled_detector(), 3, &plan);
+  net::NetworkStats stats;
+  net::FailureDetector fd(enabled_detector(), 3, &plan, stats);
   fd.poll(SimTime::nanos(10'000'000));
   // Probing halted at the first round past the monitor's crash: nobody is
   // declared dead (peers still fail over via the ARQ budget).
   EXPECT_FALSE(fd.dead(1));
   EXPECT_FALSE(fd.dead(2));
-  EXPECT_EQ(fd.counters().deaths, 0u);
+  EXPECT_EQ(stats.snapshot().machine_deaths, 0u);
 }
 
 // ---- healthy-path inertness -------------------------------------------------

@@ -16,6 +16,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "apps/microbench.hpp"
 #include "apps/webserver.hpp"
@@ -77,15 +78,21 @@ TEST(Trace, CallSpansMatchTheRmiCounters) {
 
 // Every counted occurrence that also has a trace event must report the
 // two in agreement: each scenario drives one occurrence on a small
-// two- or three-machine system with a recorder attached, then every
-// counter is compared with the number of its events.
+// two- or three-machine system with a recorder attached, then every RMI
+// and network counter is compared with the number of its events.
+struct Counts {
+  rmi::RmiStatsSnapshot rmi;
+  net::NetworkStats::Snapshot net;
+};
+
 class OccurrenceRig {
  public:
   explicit OccurrenceRig(trace::Recorder* rec, std::size_t machines = 2,
                          const rmi::ExecutorConfig& exec = {},
                          const net::FaultPlan& faults = {},
-                         const net::FailureDetectorConfig& detector = {})
-      : cluster(machines, types, {}, net::TransportKind::Sim, {}, faults,
+                         const net::FailureDetectorConfig& detector = {},
+                         const wire::SessionConfig& session = {})
+      : cluster(machines, types, {}, net::TransportKind::Sim, session, faults,
                 detector),
         sys(cluster, types, exec) {
     cluster.set_recorder(rec);  // before any traffic flows
@@ -122,9 +129,9 @@ class OccurrenceRig {
     }
     EXPECT_TRUE(done());
   }
-  rmi::RmiStatsSnapshot finish() {
+  Counts finish() {
     sys.stop();
-    return sys.total_stats();
+    return {sys.total_stats(), cluster.stats()};
   }
 
   om::TypeRegistry types;
@@ -176,8 +183,10 @@ net::FaultPlan duplicating_plan() {
 
 struct OccurrenceScenario {
   const char* name;
-  std::uint64_t rmi::RmiStatsSnapshot::*exercised;  // must end up nonzero
-  rmi::RmiStatsSnapshot (*run)(trace::Recorder*);
+  std::uint64_t rmi::RmiStatsSnapshot::*exercised;  // nonzero, if given
+  Counts (*run)(trace::Recorder*);
+  // Events the scenario must record at least once.
+  std::vector<trace::EventKind> occurs = {};
 };
 
 void PrintTo(const OccurrenceScenario& s, std::ostream* os) { *os << s.name; }
@@ -354,7 +363,47 @@ const OccurrenceScenario kOccurrenceScenarios[] = {
        EXPECT_THROW(rig.sys.invoke(0, ref, site, {}), rmi::MachineDown);
        EXPECT_THROW(rig.sys.invoke_oneway(0, ref, site, {}), rmi::RmiTimeout);
        return rig.finish();
-     }},
+     },
+     {trace::EventKind::FaultDrop, trace::EventKind::Retransmit,
+      trace::EventKind::HeartbeatMiss, trace::EventKind::MachineDead}},
+    {"LinkFaults", nullptr,
+     [](trace::Recorder* rec) {
+       // All four injected faults on the call link; replies travel clean.
+       net::FaultPlan faults;
+       faults.seed = 5;
+       faults.set_link(0, 1, {.drop = 0.2, .duplicate = 0.2, .reorder = 0.2,
+                              .corrupt = 0.2});
+       OccurrenceRig rig(rec, 2, {}, faults);
+       const auto site = rig.site(noop);
+       const rmi::RemoteRef ref = rig.ref(1);
+       rig.sys.start();
+       for (int i = 0; i < 40; ++i) rig.sys.invoke(0, ref, site, {});
+       return rig.finish();
+     },
+     {trace::EventKind::FaultDrop, trace::EventKind::FaultDuplicate,
+      trace::EventKind::FaultReorder, trace::EventKind::FaultCorrupt,
+      trace::EventKind::Retransmit, trace::EventKind::NackTurnaround,
+      trace::EventKind::DedupDrop}},
+    {"Coalescing", nullptr,
+     [](trace::Recorder* rec) {
+       wire::SessionConfig session;
+       session.max_batch_messages = 8;  // ACKs coalesce, Calls flush
+       OccurrenceRig rig(rec, 2, {}, {}, {}, session);
+       std::atomic<int> handled{0};
+       const auto site = rig.site([&](rmi::CallContext&, auto, auto) {
+         ++handled;
+         return rmi::HandlerResult{};
+       });
+       const rmi::RemoteRef ref = rig.ref(1);
+       rig.sys.start();
+       // Nobody awaits the ACKs, so all three wait in the reply link's
+       // queue until stop() flushes them as one frame.
+       for (int i = 0; i < 3; ++i) rig.sys.invoke_async(0, ref, site, {});
+       rig.wait_until([&] { return rig.cluster.queued_messages() == 3; });
+       EXPECT_EQ(handled.load(), 3);
+       return rig.finish();
+     },
+     {trace::EventKind::SessionEnqueue}},
 };
 
 class CountersMatchEvents
@@ -362,11 +411,18 @@ class CountersMatchEvents
 
 TEST_P(CountersMatchEvents, EveryCounterEqualsItsTraceEvents) {
   trace::MemoryRecorder rec;
-  const rmi::RmiStatsSnapshot s = GetParam().run(&rec);
-  EXPECT_GT(s.*GetParam().exercised, 0u);
+  const Counts counts = GetParam().run(&rec);
+  const rmi::RmiStatsSnapshot& s = counts.rmi;
+  const net::NetworkStats::Snapshot& net = counts.net;
+  if (GetParam().exercised != nullptr) {
+    EXPECT_GT(s.*GetParam().exercised, 0u);
+  }
   auto n = [&](trace::EventKind k) {
     return static_cast<std::uint64_t>(rec.events_of(k).size());
   };
+  for (const trace::EventKind k : GetParam().occurs) {
+    EXPECT_GT(n(k), 0u) << trace::to_string(k);
+  }
   using E = trace::EventKind;
   EXPECT_EQ(s.deadline_rejects, n(E::DeadlineReject));
   EXPECT_EQ(s.sheds, n(E::OverloadShed));
@@ -378,6 +434,27 @@ TEST_P(CountersMatchEvents, EveryCounterEqualsItsTraceEvents) {
   EXPECT_EQ(s.reply_cache_pins, n(E::ReplyCachePinned));
   EXPECT_EQ(s.replayed_replies, n(E::ReplyReplayed));
   EXPECT_EQ(s.duplicate_calls, n(E::DuplicateDropped) + n(E::ReplyReplayed));
+
+  EXPECT_EQ(net.dropped, n(E::FaultDrop));
+  EXPECT_EQ(net.duplicated, n(E::FaultDuplicate));
+  EXPECT_EQ(net.reordered, n(E::FaultReorder));
+  EXPECT_EQ(net.corrupted, n(E::FaultCorrupt));
+  EXPECT_EQ(net.retransmits, n(E::Retransmit) + n(E::NackTurnaround));
+  EXPECT_EQ(net.dedup_hits, n(E::DedupDrop));
+  EXPECT_EQ(net.dedup_late_recoveries, n(E::DedupLateRecovery));
+  EXPECT_EQ(net.heartbeats, n(E::Heartbeat));
+  EXPECT_EQ(net.heartbeat_misses, n(E::HeartbeatMiss));
+  EXPECT_EQ(net.suspicions, n(E::MachineSuspected));
+  EXPECT_EQ(net.machine_deaths, n(E::MachineDead));
+  // Every carried frame is one Flight: its messages, and those that
+  // shared it with others.
+  std::uint64_t carried = 0, shared = 0;
+  for (const trace::Event& e : rec.events_of(E::Flight)) {
+    carried += e.count;
+    if (e.count > 1) shared += e.count;
+  }
+  EXPECT_EQ(net.messages, carried);
+  EXPECT_EQ(net.coalesced, shared);
 }
 
 INSTANTIATE_TEST_SUITE_P(
