@@ -81,7 +81,6 @@ CellResult run_cell(OptLevel level, net::TransportKind transport,
   cs.plan = std::make_unique<serial::CallSitePlan>();
   cs.plan->name = "overload.sink";
   cs.level = level;
-  cs.site_specific = codegen::site_specific(level);
   const auto site = sys.add_callsite(std::move(cs));
   const rmi::RemoteRef ref = sys.export_object(1, nullptr);
   sys.start();

@@ -64,9 +64,9 @@ inline void print_fault_table(const std::vector<LevelRun>& runs) {
 
 // Prints the zero-copy receive counters — borrowed spans/bytes and the
 // frame pool's hit/miss traffic — but only when borrowing actually
-// engaged (CostModel::zero_copy_receive on a non-HEAVY workload), so
-// default knob-off output stays bit-for-bit identical to a build without
-// zero-copy receive support.
+// engaged (CostModel::zero_copy_receive on), so default knob-off output
+// stays bit-for-bit identical to a build without zero-copy receive
+// support.
 inline void print_zero_copy_recv_table(const std::vector<LevelRun>& runs) {
   bool any = false;
   for (const auto& run : runs) {

@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks: *real wall-clock* throughput of the
-// three serializer families on this machine.
+// three type-info modes of the plan serializer on the host running them.
 //
 // These complement the table benches (which report deterministic virtual
 // time): they demonstrate that the generated-code *structure* itself —
@@ -51,11 +51,12 @@ Fixture& fixture() {
 
 void BM_SerializeIntrospective(benchmark::State& state) {
   Fixture& f = fixture();
+  auto root = serial::make_dynamic_node(f.mat, serial::TypeInfoMode::FullName);
   for (auto _ : state) {
     serial::SerialStats stats;
     serial::SerialWriter w(f.class_plans, stats, /*cycle_enabled=*/true);
     ByteBuffer out;
-    w.write_introspective(out, f.matrix);
+    w.write(out, *root, f.matrix);
     benchmark::DoNotOptimize(out.size());
   }
 }

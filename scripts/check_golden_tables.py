@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Byte-identity gate for the seven deterministic paper tables.
+"""Byte-identity gate for the seven deterministic paper tables and the
+one bench output that pins the introspective (HEAVY) wire protocol.
 
-Runs bench_table{1,2,5,7} and bench_table{4,6,8}_*_stats from a build
-tree and diffs each one's stdout against its capture in bench/golden/.
-Every virtual makespan and counter in these tables is deterministic, so
-any difference at all means a change moved the simulation.  The LU table
+Runs bench_table{1,2,5,7}, bench_table{4,6,8}_*_stats and
+ablation_wire_typeinfo from a build tree and diffs each one's stdout
+against its capture in bench/golden/.  The paper tables run only the
+five paper levels; ablation_wire_typeinfo also prints the type-info and
+wire bytes of one 100-node list message at `introspect`, `class` and
+`site`, so the class-name protocol is gated byte for byte too.  Every
+virtual makespan and counter in these outputs is deterministic, so any
+difference at all means a change moved the simulation.  The LU table
 (bench_table3_lu) is scheduling-sensitive and stays on
 scripts/check_lu_tolerance.py instead.
 
@@ -25,6 +30,7 @@ TABLES = [
     "bench_table6_superopt_stats",
     "bench_table7_webserver",
     "bench_table8_webserver_stats",
+    "ablation_wire_typeinfo",
 ]
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench" / "golden"
@@ -56,7 +62,7 @@ def main(argv):
             )
         )
     if failures:
-        print(f"{failures} of {len(TABLES)} tables differ")
+        print(f"{failures} of {len(TABLES)} outputs differ")
         return 1
     return 0
 

@@ -220,7 +220,6 @@ RunResult run_superopt(codegen::OptLevel level, const SuperoptConfig& cfg) {
   // Tester threads: pop, decode, equivalence-test against the target.
   auto tester_thread = [&](std::size_t t) {
     om::Heap& heap = cluster.machine(t + 1).heap();
-    SplitMix64 rng(cfg.seed + t);
     // Pre-generate shared test vectors (same for all candidates).
     std::vector<std::array<std::int64_t, kSopRegs>> vectors(
         static_cast<std::size_t>(cfg.test_vectors));
@@ -246,7 +245,6 @@ RunResult run_superopt(codegen::OptLevel level, const SuperoptConfig& cfg) {
       tested.fetch_add(1);
       heap.free_graph(obj);  // the queue owned it
     }
-    (void)rng;
   };
   std::vector<std::thread> tester_threads;
   for (std::size_t t = 0; t < testers; ++t) {

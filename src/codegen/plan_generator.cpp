@@ -58,8 +58,9 @@ bool PlanGenerator::result_is_used(const ir::Function& caller,
 }
 
 std::unique_ptr<serial::NodePlan> PlanGenerator::dynamic_node(
-    om::ClassId declared, bool cycle_checks, CallSiteDecision& out) const {
-  auto n = serial::make_dynamic_node(declared);
+    om::ClassId declared, bool cycle_checks, CallSiteDecision& out,
+    serial::TypeInfoMode type_info) const {
+  auto n = serial::make_dynamic_node(declared, type_info);
   n->cycle_check = cycle_checks;
   ++out.dynamic_nodes;
   return n;
@@ -109,7 +110,6 @@ std::unique_ptr<serial::NodePlan> PlanGenerator::build_node(
   plan->expected_class = cls;
   plan->type_info = serial::TypeInfoMode::None;
   plan->cycle_check = cycle_checks;
-  plan->dynamic_dispatch = false;
   ++out.inline_nodes;
 
   path.push_back(Frame{&targets, plan.get()});
@@ -173,14 +173,19 @@ CallSiteDecision PlanGenerator::generate(
 
   if (!site_specific(level)) {
     // Baseline marshalers: one dynamic root per declared reference
-    // parameter, return value always shipped, cycle table always on.
+    // parameter, return value always shipped, cycle table always on.  The
+    // introspective baseline names each object's class on the wire.
+    const serial::TypeInfoMode type_info =
+        level == OptLevel::Heavy ? serial::TypeInfoMode::FullName
+                                 : serial::TypeInfoMode::CompactId;
     for (std::size_t i : out.ref_params) {
-      plan->args.push_back(
-          dynamic_node(callee.params[i].class_id, /*cycle_checks=*/true, out));
+      plan->args.push_back(dynamic_node(callee.params[i].class_id,
+                                        /*cycle_checks=*/true, out,
+                                        type_info));
     }
     if (has_ret_value) {
-      plan->ret =
-          dynamic_node(callee.ret.class_id, /*cycle_checks=*/true, out);
+      plan->ret = dynamic_node(callee.ret.class_id, /*cycle_checks=*/true,
+                               out, type_info);
     }
     plan->needs_cycle_table = true;
     out.plan = std::move(plan);

@@ -5,8 +5,9 @@
 //
 //  * `class`/`introspect` levels produce the baseline shape: every argument
 //    root is a dynamic-dispatch node (the class-specific serializer of the
-//    runtime class is invoked per object, Figure 7), the return value is
-//    always shipped, the cycle table is always on;
+//    runtime class is invoked per object, Figure 7) writing class ids or,
+//    at `introspect`, class names; the return value is always shipped, the
+//    cycle table is always on;
 //  * `site*` levels inline: where the points-to set of a node resolves to
 //    exactly one runtime class, the plan embeds the field layout directly
 //    (no serializer invocation, no wire type info — Figure 6); recursive
@@ -80,9 +81,9 @@ class PlanGenerator {
       const analysis::NodeSet& targets, om::ClassId declared,
       bool cycle_checks, std::vector<Frame>& path,
       CallSiteDecision& out) const;
-  std::unique_ptr<serial::NodePlan> dynamic_node(om::ClassId declared,
-                                                 bool cycle_checks,
-                                                 CallSiteDecision& out) const;
+  std::unique_ptr<serial::NodePlan> dynamic_node(
+      om::ClassId declared, bool cycle_checks, CallSiteDecision& out,
+      serial::TypeInfoMode type_info = serial::TypeInfoMode::CompactId) const;
   static bool result_is_used(const ir::Function& caller,
                              const ir::Instr& call);
 

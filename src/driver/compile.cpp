@@ -20,8 +20,6 @@ rmi::CompiledCallSite to_runtime_site(const CompiledProgram& program,
   rmi::CompiledCallSite site;
   site.plan = decision.plan->clone();
   site.method_id = method_id;
-  site.heavy = program.level == OptLevel::Heavy;
-  site.site_specific = codegen::site_specific(program.level);
   site.level = program.level;
   site.tag = tag;
   site.batch_replies = decision.batch_ack;

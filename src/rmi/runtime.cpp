@@ -31,11 +31,8 @@ class AmbientDeadlineScope {
 
 // Scatter-gather send (CostModel::zero_copy_send): serialize into a
 // gather list so inline primitive-array rows ride as borrowed segments.
-// The HEAVY protocol keeps the contiguous path — it is the baseline the
-// ablations compare against.
-void maybe_gather(wire::Message& msg, const serial::CostModel& cmodel,
-                  bool heavy) {
-  if (cmodel.zero_copy_send && !heavy) {
+void maybe_gather(wire::Message& msg, const serial::CostModel& cmodel) {
+  if (cmodel.zero_copy_send) {
     msg.gathered = std::make_shared<support::GatherBuffer>(
         cmodel.gather_min_borrow_bytes, cmodel.gather_pin_copy_threshold);
   }
@@ -54,14 +51,12 @@ om::ObjRef clone_counted(om::Heap& heap, om::ObjRef obj,
 }
 
 // One value through the writer into whichever body `msg` carries.
-void write_value(serial::SerialWriter& w, wire::Message& msg, bool heavy,
-                 const serial::NodePlan* plan, om::ObjRef value) {
-  if (heavy) {
-    w.write_introspective(msg.payload, value);
-  } else if (msg.gathered) {
-    w.write(*msg.gathered, *plan, value);
+void write_value(serial::SerialWriter& w, wire::Message& msg,
+                 const serial::NodePlan& plan, om::ObjRef value) {
+  if (msg.gathered) {
+    w.write(*msg.gathered, plan, value);
   } else {
-    w.write(msg.payload, *plan, value);
+    w.write(msg.payload, plan, value);
   }
 }
 
@@ -323,8 +318,9 @@ void RmiSystem::charge_stub(std::uint16_t machine_id,
                             const CompiledCallSite& site, std::size_t nargs,
                             std::size_t nscalars) {
   const serial::CostModel& c = cluster_.cost();
-  std::int64_t ns = site.site_specific ? c.site_stub_ns : c.generic_stub_ns;
-  if (!site.site_specific) {
+  const bool site_specific = codegen::site_specific(site.level);
+  std::int64_t ns = site_specific ? c.site_stub_ns : c.generic_stub_ns;
+  if (!site_specific) {
     const std::size_t boxed =
         nargs + nscalars + (site.plan->ret != nullptr ? 1 : 0);
     ns += static_cast<std::int64_t>(boxed) * c.generic_arg_box_ns;
@@ -740,7 +736,7 @@ wire::Message RmiSystem::marshal(AsyncCallState& st,
                 .flags = st.oneway ? wire::kFlagOneway : std::uint8_t{0},
                 .deadline_ns = deadline};
 
-  maybe_gather(msg, cluster_.cost(), site.heavy);
+  maybe_gather(msg, cluster_.cost());
   auto put_scalars = [&](auto& out) {
     out.put_varint(scalars.size());
     for (const std::int64_t s : scalars) out.put_i64(s);
@@ -752,12 +748,11 @@ wire::Message RmiSystem::marshal(AsyncCallState& st,
   }
   serial::SerialStats pass;
   {
-    serial::SerialWriter w(class_plans_, pass,
-                           site.heavy || plan.needs_cycle_table,
+    serial::SerialWriter w(class_plans_, pass, plan.needs_cycle_table,
                            pass_trace(trace::EventKind::Serialize, st.caller,
                                       st.callsite_id, st.seq));
     for (std::size_t i = 0; i < args.size(); ++i) {
-      write_value(w, msg, site.heavy, plan.args[i].get(), args[i]);
+      write_value(w, msg, *plan.args[i], args[i]);
     }
   }
   // Pin/fold borrowed spans *before* the caller can touch its argument
@@ -832,16 +827,14 @@ om::ObjRef RmiSystem::finish_call(AsyncCallState& st) {
   if (rep.msg.header.kind != wire::MsgKind::Ack) {  // an Ack has no body
     serial::SerialStats rpass;
     serial::SerialReader r(
-        class_plans_, m.heap(), rpass, site.heavy || plan.needs_cycle_table,
+        class_plans_, m.heap(), rpass, plan.needs_cycle_table,
         pass_trace(trace::EventKind::Deserialize, caller, callsite_id, seq));
-    // Zero-copy receive: a non-HEAVY reply decoded from a pinned frame may
-    // borrow its large primitive-array rows instead of copying them out.
-    if (cluster_.cost().zero_copy_receive && !site.heavy) {
+    // Zero-copy receive: a reply decoded from a pinned frame may borrow its
+    // large primitive-array rows instead of copying them out.
+    if (cluster_.cost().zero_copy_receive) {
       r.enable_borrow(cluster_.cost().gather_min_borrow_bytes);
     }
-    if (site.heavy) {
-      value = r.read_introspective(rep.msg.payload);
-    } else if (plan.reuse_ret) {
+    if (plan.reuse_ret) {
       ReuseSlot& slot = reuse_slot(cctx, /*ret_side=*/true, callsite_id, 1);
       om::ObjRef cached = nullptr;
       {
@@ -902,13 +895,12 @@ void RmiSystem::answer(const ReplyToken& token, wire::MsgKind kind,
       reply.header.kind = has_ret ? wire::MsgKind::Return : wire::MsgKind::Ack;
       reply.coalesce_hint = site.batch_replies;
       if (has_ret) {
-        maybe_gather(reply, cluster_.cost(), site.heavy);
-        serial::SerialWriter w(class_plans_, pass,
-                               site.heavy || plan.needs_cycle_table,
+        maybe_gather(reply, cluster_.cost());
+        serial::SerialWriter w(class_plans_, pass, plan.needs_cycle_table,
                                pass_trace(trace::EventKind::Serialize,
                                           callee_id, token.callsite_id,
                                           token.seq));
-        write_value(w, reply, site.heavy, plan.ret.get(), value);
+        write_value(w, reply, *plan.ret, value);
       }
       // Seal before the give_ownership free below and before the reply
       // cache takes its copy: borrowed spans may alias `value`'s payload
@@ -1076,7 +1068,6 @@ RmiSystem::DecodedCall RmiSystem::decode_call(std::uint16_t machine_id,
   const wire::MessageHeader& h = env.msg.header;
   const CompiledCallSite& site = callsite(h.callsite_id);
   const serial::CallSitePlan& plan = *site.plan;
-  const bool cycle_enabled = site.heavy || plan.needs_cycle_table;
 
   DecodedCall call;
   call.callsite_id = h.callsite_id;
@@ -1096,20 +1087,19 @@ RmiSystem::DecodedCall RmiSystem::decode_call(std::uint16_t machine_id,
   // Object arguments.
   serial::SerialStats pass;
   serial::SerialReader reader(
-      class_plans_, m.heap(), pass, cycle_enabled,
+      class_plans_, m.heap(), pass, plan.needs_cycle_table,
       pass_trace(trace::EventKind::Deserialize, machine_id, h.callsite_id,
                  h.seq));
-  // Zero-copy receive: non-HEAVY argument decodes from a pinned frame may
-  // borrow large primitive-array rows straight out of it (threshold shared
-  // with the send-side gather — the crossover is the same iovec-vs-memcpy
-  // trade in the other direction).
-  if (cluster_.cost().zero_copy_receive && !site.heavy) {
+  // Zero-copy receive: argument decodes from a pinned frame may borrow
+  // large primitive-array rows straight out of it (threshold shared with
+  // the send-side gather — the crossover is the same iovec-vs-memcpy trade
+  // in the other direction).
+  if (cluster_.cost().zero_copy_receive) {
     reader.enable_borrow(cluster_.cost().gather_min_borrow_bytes);
   }
   call.args.assign(plan.args.size(), nullptr);
   std::vector<om::ObjRef> cached;
-  call.reuse = plan.reuse_args && !site.heavy;
-  if (call.reuse) {
+  if (plan.reuse_args) {
     call.slot = &reuse_slot(ctx, /*ret_side=*/false, h.callsite_id,
                             plan.args.size());
     std::scoped_lock lock(call.slot->mu);
@@ -1122,9 +1112,7 @@ RmiSystem::DecodedCall RmiSystem::decode_call(std::uint16_t machine_id,
     reader.adopt_cache_roots(cached);
   }
   for (std::size_t i = 0; i < call.args.size(); ++i) {
-    if (site.heavy) {
-      call.args[i] = reader.read_introspective(env.msg.payload);
-    } else if (call.reuse) {
+    if (call.slot != nullptr) {
       call.args[i] = reader.read_reusing(env.msg.payload, *plan.args[i],
                                          cached[i]);
     } else {
@@ -1224,7 +1212,7 @@ void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall& call,
   if (!res.deferred) {
     answer(token, kind, res.value, res.give_ownership, res.error, code);
   }
-  if (call.reuse) {
+  if (call.slot != nullptr) {
     RMIOPT_CHECK(!res.args_consumed,
                  "reuse_args call site must not consume its arguments");
     std::scoped_lock lock(call.slot->mu);

@@ -57,18 +57,16 @@
 namespace rmiopt::rmi {
 
 // A compiled call site: everything the compiler decided about one static
-// RMI call site.  `heavy` selects the introspective wire protocol (the
-// pre-KaRMI baseline, used by ablation benches only).
+// RMI call site.  The plan carries every wire-protocol decision, down to
+// whether its dynamic nodes write class ids or class names.
 struct CompiledCallSite {
   std::unique_ptr<serial::CallSitePlan> plan;
   std::uint32_t method_id = 0;
-  bool heavy = false;
-  // Call-site-generated marshalers are straight-line code; generic (class
-  // mode) stubs pay per-call boxing/dispatch/skeleton indirections (§1).
-  // Controls which per-call overhead the cost model charges.
-  bool site_specific = false;
-  // The optimization level this site was compiled at (report labelling;
-  // set by driver::to_runtime_site).
+  // The optimization level this site was compiled at (set by
+  // driver::to_runtime_site).  Labels reports and picks the per-call stub
+  // the cost model charges: call-site-generated marshalers are
+  // straight-line code, generic (class and introspect mode) stubs pay
+  // per-call boxing/dispatch/skeleton indirections (§1).
   codegen::OptLevel level = codegen::OptLevel::Class;
   // The compile-time call-site tag (RemoteCall instruction), so runtime
   // statistics can be exported back to the driver keyed the way the
@@ -446,8 +444,7 @@ class RmiSystem {
     std::uint32_t target_export = 0;
     std::vector<std::int64_t> scalars;
     std::vector<om::ObjRef> args;
-    bool reuse = false;        // reinsert args into the reuse slot after
-    ReuseSlot* slot = nullptr;
+    ReuseSlot* slot = nullptr;  // set: reinsert args into it after
     std::int64_t deadline_ns = 0;  // absolute deadline from the header
     bool oneway = false;           // fire-and-forget: never reply
     std::shared_ptr<CancelToken> cancel;  // polled at reuse-slot boundaries

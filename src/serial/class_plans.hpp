@@ -1,12 +1,13 @@
 // Class-specific serializer plans — the paper's *baseline* (KaRMI/Manta
-// style, §3.1 Figure 7).
+// style, §3.1 Figure 7) and the introspective protocol before it.
 //
 // For every class the "compiler" generates one serializer that writes the
 // class's own fields inline but *recursively invokes* the serializer of the
-// runtime class of every referenced object, sending compact type
-// information for each object.  The registry builds these plans lazily and
-// caches them; both the class-mode marshalers and the dynamic-dispatch
-// fallback nodes of call-site plans execute them.
+// runtime class of every referenced object, sending type information for
+// each object: a class id, or a class name in the Sun-RMI-like HEAVY
+// protocol.  The registry builds these plans lazily and caches them per
+// class and type-info mode; class-mode and introspect-mode marshalers and
+// the dynamic-dispatch fallback nodes of call-site plans execute them.
 #pragma once
 
 #include <memory>
@@ -25,21 +26,24 @@ class ClassPlanRegistry {
 
   // The generated per-class serializer body for `id`.  Field order matches
   // the descriptor; every reference field/element is a dynamic-dispatch
-  // node with compact type info and a cycle check.
-  const NodePlan& plan_for(om::ClassId id) const;
+  // node with a cycle check that writes `mode` type info.
+  const NodePlan& plan_for(om::ClassId id, TypeInfoMode mode) const;
 
   const om::TypeRegistry& types() const { return types_; }
 
  private:
   const om::TypeRegistry& types_;
   // Read-mostly: serializers hit the cache on every dynamic node, so reads
-  // take a shared lock; generation (first use of a class) is rare.
+  // take a shared lock; generation (first use of a class) is rare.  Keyed
+  // by class id and mode.
   mutable std::shared_mutex mu_;
-  mutable std::unordered_map<om::ClassId, std::unique_ptr<NodePlan>> cache_;
+  mutable std::unordered_map<std::uint64_t, std::unique_ptr<NodePlan>> cache_;
 };
 
-// A fresh dynamic-dispatch node (the shape class-mode marshalers use for
-// every argument root, and call-site plans use as their fallback).
-std::unique_ptr<NodePlan> make_dynamic_node(om::ClassId declared_class);
+// A fresh dynamic-dispatch node (the shape class-mode and introspect-mode
+// marshalers use for every argument root, and call-site plans use as
+// their fallback).
+std::unique_ptr<NodePlan> make_dynamic_node(
+    om::ClassId declared_class, TypeInfoMode mode = TypeInfoMode::CompactId);
 
 }  // namespace rmiopt::serial

@@ -82,28 +82,27 @@ struct CostModel {
   // When enabled (Kono & Masuda's scheme; the paper notes "our object
   // reuse scheme can be used in combination with their zero copy scheme
   // for increased performance"), delivery lands frame images in pooled,
-  // refcounted buffers (support::FramePool) and non-HEAVY readers
-  // *borrow* inline primitive-array rows of at least
-  // gather_min_borrow_bytes straight out of the pinned frame instead of
-  // copying them into fresh heap storage.  Borrowed arrays detach
-  // (copy-on-write) on any mutable access; the frame recycles when its
-  // last borrower lets go.  A borrowed row is charged per segment
-  // (gather_segment_ns) plus light per-KB preprocessing below, replacing
-  // the per-byte copy charge for exactly the bytes not copied.  Off
-  // (default): no pool, no pins, no borrows — the historical copy path,
-  // bit for bit.
+  // refcounted buffers (support::FramePool) and readers *borrow*
+  // primitive-array rows of at least gather_min_borrow_bytes straight out
+  // of the pinned frame instead of copying them into fresh heap storage.
+  // Borrowed arrays detach (copy-on-write) on any mutable access; the
+  // frame recycles when its last borrower lets go.  A borrowed row is
+  // charged per segment (gather_segment_ns) plus light per-KB
+  // preprocessing below, replacing the per-byte copy charge for exactly
+  // the bytes not copied.  Off (default): no pool, no pins, no borrows —
+  // the historical copy path, bit for bit.
   bool zero_copy_receive = false;
   double zero_copy_preprocess_ns_per_kb = 80.0;
 
   // ---- zero-copy scatter-gather send --------------------------------------
-  // When enabled, call sites with BARE plans serialize into a
-  // support::GatherBuffer: inline primitive-array rows become borrowed
-  // iovec segments the NIC concatenates, instead of being memcpy'd into a
-  // contiguous image.  A borrowed row is charged per *segment* (descriptor
-  // setup in the gather list) rather than per byte; everything else — wire
-  // bytes, headers, latency — is priced exactly as before, and with the
-  // knob off (default) no gather buffer ever exists, so the deterministic
-  // tables are untouched bit for bit.
+  // When enabled, call sites serialize into a support::GatherBuffer:
+  // inline (BARE) primitive-array rows become borrowed iovec segments the
+  // NIC concatenates, instead of being memcpy'd into a contiguous image.
+  // A borrowed row is charged per *segment* (descriptor setup in the
+  // gather list) rather than per byte; everything else — wire bytes,
+  // headers, latency — is priced exactly as before, and with the knob off
+  // (default) no gather buffer ever exists, so the deterministic tables
+  // are untouched bit for bit.
   bool zero_copy_send = false;
   // Spans shorter than this are copied inline: an iovec entry costs more
   // than the memcpy it would save.

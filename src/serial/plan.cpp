@@ -15,7 +15,6 @@ std::unique_ptr<NodePlan> clone_node(
   copy->expected_class = src.expected_class;
   copy->type_info = src.type_info;
   copy->cycle_check = src.cycle_check;
-  copy->dynamic_dispatch = src.dynamic_dispatch;
   copy->recurse_to = src.recurse_to;  // remapped by the caller afterwards
   for (const auto& fa : src.fields) {
     NodePlan::FieldAction c;
@@ -76,34 +75,23 @@ void render_node(std::ostringstream& out, const NodePlan& plan,
         << ");  // inlined monomorphic recursion, no dispatch\n";
     return;
   }
-  const om::ClassDescriptor* cls =
-      plan.expected_class != om::kNoClass ? &types.get(plan.expected_class)
-                                          : nullptr;
   if (plan.cycle_check) {
     indent_to(out, indent);
     out << "if (handle = cycle_table.lookup_or_insert(" << expr
         << ")) { m.write_handle(handle); skip; }\n";
   }
-  if (plan.dynamic_dispatch) {
+  if (plan.is_dynamic()) {
     indent_to(out, indent);
-    out << expr << ".serialize(m);  // dynamic call"
-        << (plan.type_info == TypeInfoMode::CompactId ? ", writes class id"
-            : plan.type_info == TypeInfoMode::FullName ? ", writes class name"
-                                                       : "")
-        << "\n";
+    out << expr << ".serialize(m);  // dynamic call, writes class "
+        << (plan.type_info == TypeInfoMode::FullName ? "name" : "id") << "\n";
     return;
   }
-  if (plan.type_info == TypeInfoMode::CompactId) {
-    indent_to(out, indent);
-    out << "m.write_class_id(" << (cls ? cls->name : "?") << ");\n";
-  } else if (plan.type_info == TypeInfoMode::FullName) {
-    indent_to(out, indent);
-    out << "m.write_class_name(\"" << (cls ? cls->name : "?") << "\");\n";
-  }
-  if (cls != nullptr && cls->is_array) {
+  // An inline node's class is exact: the heap analysis proved it.
+  const om::ClassDescriptor& cls = types.get(plan.expected_class);
+  if (cls.is_array) {
     indent_to(out, indent);
     out << "m.write_int(" << expr << ".length);\n";
-    if (cls->elem_kind == om::TypeKind::Ref) {
+    if (cls.elem_kind == om::TypeKind::Ref) {
       indent_to(out, indent);
       out << "for (i = 0; i < " << expr << ".length; i++)\n";
       if (plan.elem_plan) {
@@ -114,7 +102,7 @@ void render_node(std::ostringstream& out, const NodePlan& plan,
       }
     } else {
       indent_to(out, indent);
-      out << "m.append_" << name_of(cls->elem_kind) << "_array(" << expr
+      out << "m.append_" << name_of(cls.elem_kind) << "_array(" << expr
           << ");  // bulk copy, inlined\n";
     }
     return;

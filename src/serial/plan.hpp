@@ -7,18 +7,20 @@
 // the analog of running the generated code, and the cost model charges
 // exactly what each generated-code shape would cost:
 //
-//  * an *inline* node (dynamic_dispatch == false) is serialization code
-//    inlined at the call site — no method invocation, no type info;
-//  * a *dynamic* node (dynamic_dispatch == true) is an explicit invocation
-//    of the class-specific serializer of the object's runtime class — one
-//    serializer invocation plus compact type info per object, recursively;
+//  * an *inline* node (type_info == None) is serialization code inlined at
+//    the call site — no method invocation, no type info;
+//  * a *dynamic* node (type_info != None) is an explicit invocation of the
+//    class-specific serializer of the object's runtime class — one
+//    serializer invocation plus type info (a class id, or a class name for
+//    the introspective baseline) per object, recursively;
 //  * `cycle_check` marks nodes that must consult the runtime cycle table;
 //  * a null `ret` plan in `CallSitePlan` means the call site ignores the
 //    return value, so the callee sends a small ACK instead (§3.1).
 //
 // `class`-mode compilation produces degenerate plans whose roots are all
-// dynamic — that reproduces the class-specific serializers of KaRMI/Manta
-// that the paper uses as its baseline.
+// dynamic CompactId nodes — that reproduces the class-specific serializers
+// of KaRMI/Manta that the paper uses as its baseline; `introspect` mode
+// produces the same shape with FullName nodes (the Sun-RMI-like protocol).
 #pragma once
 
 #include <memory>
@@ -30,9 +32,9 @@
 namespace rmiopt::serial {
 
 enum class TypeInfoMode : std::uint8_t {
-  None,       // BARE: both sides know the type from the plan
-  CompactId,  // COMPACT: varint class id (class-specific protocol)
-  FullName,   // HEAVY: class name string (introspective protocol)
+  None,       // BARE inline node: both sides know the type from the plan
+  CompactId,  // COMPACT dynamic node: varint class id (class-specific)
+  FullName,   // HEAVY dynamic node: class name string (introspective)
 };
 
 struct NodePlan {
@@ -40,9 +42,12 @@ struct NodePlan {
   // analysis proved the runtime type); for dynamic nodes it is only the
   // declared upper bound and the runtime class decides.
   om::ClassId expected_class = om::kNoClass;
+  // The node's protocol: None for an inline node, otherwise the type info
+  // a dynamic node writes before the runtime class's serializer body.
   TypeInfoMode type_info = TypeInfoMode::None;
   bool cycle_check = false;
-  bool dynamic_dispatch = false;
+
+  bool is_dynamic() const { return type_info != TypeInfoMode::None; }
 
   // Monomorphic recursion (§3.1): when the heap analysis proves that a
   // recursive position (a linked list's `Next`) unambiguously holds one

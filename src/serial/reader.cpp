@@ -165,22 +165,42 @@ om::ObjRef SerialReader::read_node(ByteBuffer& in, const NodePlan& plan,
   }
   RMIOPT_CHECK(tag == wire::kTagInline, "corrupt object tag");
 
-  if (plan.dynamic_dispatch) {
-    const auto runtime_class = static_cast<om::ClassId>(in.get_varint());
-    ++stats_.type_decodes;  // hash the descriptor to vtable pointers (§4)
-    const om::ClassDescriptor& cls = types_.get(runtime_class);
-    return read_body(in, class_plans_.plan_for(runtime_class), cls,
+  if (plan.is_dynamic()) {
+    const om::ClassDescriptor& cls = read_class(in, plan);
+    return read_body(in, class_plans_.plan_for(cls.id, plan.type_info), cls,
                      plan.cycle_check, cached, reuse);
-  }
-
-  if (plan.type_info == TypeInfoMode::CompactId) {
-    const auto wire_class = static_cast<om::ClassId>(in.get_varint());
-    ++stats_.type_decodes;
-    RMIOPT_CHECK(wire_class == plan.expected_class,
-                 "wire type does not match call-site plan");
   }
   return read_body(in, plan, types_.get(plan.expected_class),
                    plan.cycle_check, cached, reuse);
+}
+
+const om::ClassDescriptor& SerialReader::read_class(ByteBuffer& in,
+                                                     const NodePlan& plan) {
+  const om::ClassDescriptor* cls = nullptr;
+  if (plan.type_info == TypeInfoMode::FullName) {
+    const std::string name = in.get_string();
+    cls = types_.find_by_name(name);
+    if (cls == nullptr) throw DecodeError("unknown class on wire: " + name);
+    stats_.introspected_fields += cls->fields.size();
+  } else {
+    const std::uint64_t wire_id = in.get_varint();
+    const auto id = static_cast<om::ClassId>(wire_id);
+    if (id != wire_id || !types_.exists(id)) {
+      throw DecodeError("unknown class id on wire: " +
+                        std::to_string(wire_id));
+    }
+    cls = &types_.get(id);
+  }
+  ++stats_.type_decodes;  // hash the descriptor to vtable pointers (§4)
+  // The stream may name any registered class, but the plan admits only
+  // its declared class and subclasses (kNoClass, like Object, admits all):
+  // a handler must never see a graph its declared types exclude.
+  if (plan.expected_class != om::kNoClass &&
+      !types_.is_subclass_of(cls->id, plan.expected_class)) {
+    throw DecodeError("wire class " + cls->name + " is not a " +
+                      types_.get(plan.expected_class).name);
+  }
+  return *cls;
 }
 
 namespace {
@@ -214,9 +234,9 @@ om::ObjRef SerialReader::read_body(ByteBuffer& in, const NodePlan& body,
     const std::size_t psize =
         prim ? static_cast<std::size_t>(length) * om::size_of(cls.elem_kind)
              : 0;
-    // Borrow gate: armed by the runtime (non-HEAVY site, knob on), input
-    // backed by a pinned frame, and the row big enough that a span beats
-    // the memcpy (same crossover logic as the send-side gather).
+    // Borrow gate: armed by the runtime (knob on), input backed by a
+    // pinned frame, and the row big enough that a span beats the memcpy
+    // (same crossover logic as the send-side gather).
     const bool borrowable =
         prim && borrow_min_ != 0 && psize >= borrow_min_ && in.pin() != nullptr;
     om::ObjRef obj;
@@ -285,60 +305,6 @@ om::ObjRef SerialReader::read_body(ByteBuffer& in, const NodePlan& body,
       RMIOPT_CHECK(fa.ref_plan != nullptr, "ref field plan missing");
       om::ObjRef cached_ref = reused_here ? obj->get_ref(f) : nullptr;
       obj->set_ref(f, read_node(in, *fa.ref_plan, cached_ref, reuse));
-    } else {
-      in.get_bytes(obj->payload() + f.offset, size_of(f.kind));
-      ++stats_.fields_marshaled;
-    }
-  }
-  return obj;
-}
-
-om::ObjRef SerialReader::read_introspective(ByteBuffer& in) {
-  try {
-    return read_introspective_node(in);
-  } catch (...) {
-    abandon_pass();
-    throw;
-  }
-}
-
-om::ObjRef SerialReader::read_introspective_node(ByteBuffer& in) {
-  const auto tag = static_cast<wire::ObjTag>(in.get_u8());
-  if (tag == wire::kTagNull) return nullptr;
-  if (tag == wire::kTagHandle) {
-    const std::uint64_t idx = in.get_varint();
-    RMIOPT_CHECK(idx < handles_.size(), "dangling back-reference handle");
-    return handles_[idx];
-  }
-  RMIOPT_CHECK(tag == wire::kTagInline, "corrupt object tag");
-
-  const std::string name = in.get_string();
-  ++stats_.type_decodes;
-  const om::ClassDescriptor* cls = types_.find_by_name(name);
-  RMIOPT_CHECK(cls != nullptr, "unknown class on wire: " + name);
-
-  if (cls->is_array) {
-    const std::uint64_t wire_length = in.get_varint();
-    check_array_length(in, *cls, wire_length);
-    const auto length = static_cast<std::uint32_t>(wire_length);
-    om::ObjRef obj = fresh_alloc(*cls, length);
-    handles_.push_back(obj);
-    if (cls->elem_kind == om::TypeKind::Ref) {
-      for (std::uint32_t i = 0; i < length; ++i) {
-        obj->set_elem_ref(i, read_introspective_node(in));
-      }
-    } else {
-      in.get_bytes(obj->payload(), obj->payload_size());
-      stats_.bytes_copied_rx += obj->payload_size();
-    }
-    return obj;
-  }
-  om::ObjRef obj = fresh_alloc(*cls, 0);
-  handles_.push_back(obj);
-  for (const auto& f : cls->fields) {
-    ++stats_.introspected_fields;
-    if (f.kind == om::TypeKind::Ref) {
-      obj->set_ref(f, read_introspective_node(in));
     } else {
       in.get_bytes(obj->payload() + f.offset, size_of(f.kind));
       ++stats_.fields_marshaled;

@@ -47,20 +47,17 @@ class SerialReader {
   om::ObjRef read_reusing(ByteBuffer& in, const NodePlan& plan,
                           om::ObjRef cached);
 
-  // Deserializes a HEAVY (introspective) stream.
-  om::ObjRef read_introspective(ByteBuffer& in);
-
   // Registers cached graphs that this pass *may* consume via read_reusing.
   // Once a reuse slot has been detached (nulled against concurrent use),
   // the reader is the only owner of the old graphs; registering them up
   // front lets an abandoned pass release graphs the stream never reached.
   void adopt_cache_roots(std::span<const om::ObjRef> roots);
 
-  // Arms zero-copy receive for this pass: inline primitive-array rows of
+  // Arms zero-copy receive for this pass: primitive-array rows of
   // at least `min_bytes` payload are materialized as borrowed spans into
   // the input's pinned frame (requires `in.pin() != nullptr`) instead of
-  // being copied into fresh heap storage.  The runtime turns this on only
-  // for non-HEAVY sites when CostModel::zero_copy_receive is set.
+  // being copied into fresh heap storage.  The runtime turns this on when
+  // CostModel::zero_copy_receive is set.
   void enable_borrow(std::size_t min_bytes) { borrow_min_ = min_bytes; }
 
  private:
@@ -68,7 +65,9 @@ class SerialReader {
                        om::ObjRef cached, bool reuse);
   om::ObjRef read_reusing_impl(ByteBuffer& in, const NodePlan& plan,
                                om::ObjRef cached);
-  om::ObjRef read_introspective_node(ByteBuffer& in);
+  // Reads a dynamic node's type info (class id or name) and checks the
+  // class against the node's declared type; throws DecodeError otherwise.
+  const om::ClassDescriptor& read_class(ByteBuffer& in, const NodePlan& plan);
 
   // Releases everything this pass owns — fresh allocations and adopted
   // cache nodes.  Called when a decode pass throws on corrupt input: the

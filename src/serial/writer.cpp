@@ -11,7 +11,6 @@ SerialWriter::SerialWriter(const ClassPlanRegistry& class_plans,
                            SerialStats& stats, bool cycle_enabled,
                            trace::PassTrace pt)
     : class_plans_(class_plans),
-      types_(class_plans.types()),
       stats_(stats),
       cycle_enabled_(cycle_enabled),
       pt_(pt) {
@@ -70,15 +69,22 @@ void SerialWriter::write_any(Out& out, const NodePlan& plan, om::ObjRef obj) {
   }
   if (write_prologue_any(out, plan.cycle_check, obj)) return;
 
-  if (plan.dynamic_dispatch) {
+  if (plan.is_dynamic()) {
     // Explicit invocation of the runtime class's generated serializer —
     // what class-specific serialization pays per object (§3.1, Fig. 7).
+    // The introspective protocol names the class instead of numbering it
+    // and examines the class's field layout at runtime.
     ++stats_.serializer_invocations;
-    const om::ClassId runtime_class = obj->class_id();
+    const om::ClassDescriptor& cls = obj->cls();
     const std::size_t before = out.size();
-    out.put_varint(runtime_class);
+    if (plan.type_info == TypeInfoMode::FullName) {
+      out.put_string(cls.name);
+      stats_.introspected_fields += cls.fields.size();
+    } else {
+      out.put_varint(cls.id);
+    }
     stats_.type_info_bytes += out.size() - before;
-    write_body_any(out, class_plans_.plan_for(runtime_class), obj,
+    write_body_any(out, class_plans_.plan_for(cls.id, plan.type_info), obj,
                    /*inline_node=*/false);
     return;
   }
@@ -88,11 +94,6 @@ void SerialWriter::write_any(Out& out, const NodePlan& plan, om::ObjRef obj) {
   RMIOPT_CHECK(obj->class_id() == plan.expected_class,
                "call-site plan type mismatch for class " + obj->cls().name +
                    " (compiler bug)");
-  if (plan.type_info == TypeInfoMode::CompactId) {
-    const std::size_t before = out.size();
-    out.put_varint(plan.expected_class);
-    stats_.type_info_bytes += out.size() - before;
-  }
   write_body_any(out, plan, obj, /*inline_node=*/true);
 }
 
@@ -159,55 +160,6 @@ void SerialWriter::write(ByteBuffer& out, const NodePlan& plan,
 void SerialWriter::write(support::GatherBuffer& out, const NodePlan& plan,
                          om::ObjRef obj) {
   write_any(out, plan, obj);
-}
-
-void SerialWriter::write_introspective(ByteBuffer& out, om::ObjRef obj) {
-  if (obj == nullptr) {
-    out.put_u8(wire::kTagNull);
-    return;
-  }
-  // The HEAVY protocol always cycle-checks, independent of the pass flag.
-  if (!table_used_) {
-    table_used_ = true;
-    ++stats_.cycle_tables_created;
-  }
-  ++stats_.cycle_lookups;
-  const std::int32_t handle = cycles_.lookup_or_insert(obj);
-  if (handle >= 0) {
-    out.put_u8(wire::kTagHandle);
-    out.put_varint(static_cast<std::uint64_t>(handle));
-    return;
-  }
-  out.put_u8(wire::kTagInline);
-  ++stats_.serializer_invocations;
-
-  const om::ClassDescriptor& cls = obj->cls();
-  const std::size_t before = out.size();
-  out.put_string(cls.name);
-  stats_.type_info_bytes += out.size() - before;
-
-  if (cls.is_array) {
-    out.put_varint(obj->length());
-    if (cls.elem_kind == om::TypeKind::Ref) {
-      for (std::uint32_t i = 0; i < obj->length(); ++i) {
-        write_introspective(out, obj->get_elem_ref(i));
-      }
-    } else {
-      out.put_bytes(std::as_const(*obj).payload(), obj->payload_size());
-      stats_.bytes_copied += obj->payload_size();
-    }
-    return;
-  }
-  for (const auto& f : cls.fields) {
-    ++stats_.introspected_fields;  // runtime layout examination
-    if (f.kind == om::TypeKind::Ref) {
-      write_introspective(out, obj->get_ref(f));
-    } else {
-      out.put_bytes(std::as_const(*obj).payload() + f.offset,
-                    size_of(f.kind));
-      ++stats_.fields_marshaled;
-    }
-  }
 }
 
 }  // namespace rmiopt::serial

@@ -1,5 +1,5 @@
-// SerialWriter: executes marshal plans (and the reflective fallback) to
-// turn object graphs into wire bytes.
+// SerialWriter: executes marshal plans — call-site, class-specific and
+// introspective alike — to turn object graphs into wire bytes.
 //
 // One SerialWriter instance corresponds to one serialization *pass* (one
 // message): it owns the pass's cycle table — created only when the call
@@ -44,10 +44,6 @@ class SerialWriter {
   void write(support::GatherBuffer& out, const NodePlan& plan,
              om::ObjRef obj);
 
-  // Serializes `obj` with full runtime introspection and class names on the
-  // wire (the Sun-RMI-like HEAVY protocol; always cycle-checks).
-  void write_introspective(ByteBuffer& out, om::ObjRef obj);
-
  private:
   // The writing logic is one template over the output sink; the
   // GatherBuffer instantiation may borrow at inline primitive-array
@@ -62,7 +58,6 @@ class SerialWriter {
   bool write_prologue_any(Out& out, bool cycle_check, om::ObjRef obj);
 
   const ClassPlanRegistry& class_plans_;
-  const om::TypeRegistry& types_;
   SerialStats& stats_;
   const bool cycle_enabled_;
   const trace::PassTrace pt_;

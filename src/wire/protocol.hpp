@@ -1,18 +1,19 @@
 // Wire protocol: message framing and the object-stream tag set.
 //
 // Three protocol flavours coexist, mirroring the paper's three serializer
-// generations:
+// generations.  They are the three serial::TypeInfoMode values of one plan
+// interpreter: each plan node says which one it writes.
 //
-//  * HEAVY  (Sun-RMI-like, used by the introspective serializer): every
+//  * HEAVY  (Sun-RMI-like introspective baseline, FullName nodes): every
 //    object is preceded by its full class *name*; the receiver resolves the
 //    name to a descriptor for every single object.
-//  * COMPACT (class-specific serializers, KaRMI/Manta-style): every object
-//    is preceded by a varint class *id* — "a single integer in
-//    Manta-JavaParty" that the receiver hashes to a vtable.
-//  * BARE   (call-site-specific serializers, this paper): no per-object
-//    type information at all; both sides execute the same generated plan,
-//    so the stream contains only data, array lengths, and — when the
-//    compiler could not prove acyclicity — cycle tags/handles.
+//  * COMPACT (class-specific serializers, KaRMI/Manta-style, CompactId
+//    nodes): every object is preceded by a varint class *id* — "a single
+//    integer in Manta-JavaParty" that the receiver hashes to a vtable.
+//  * BARE   (call-site-specific serializers, this paper, inline nodes): no
+//    per-object type information at all; both sides execute the same
+//    generated plan, so the stream contains only data, array lengths, and
+//    — when the compiler could not prove acyclicity — cycle tags/handles.
 #pragma once
 
 #include <cstdint>

@@ -22,7 +22,7 @@ TEST(Codegen, Figure5CallSitePlansAreSpecializedPerSite) {
   const auto& s1 = prog.site(p.tags_for("Work.foo").at(0));
   ASSERT_EQ(s1.plan->args.size(), 1u);
   const serial::NodePlan& a1 = *s1.plan->args[0];
-  EXPECT_FALSE(a1.dynamic_dispatch);
+  EXPECT_FALSE(a1.is_dynamic());
   EXPECT_EQ(a1.expected_class, p.cls("Derived1"));
   EXPECT_EQ(a1.type_info, serial::TypeInfoMode::None);
   ASSERT_EQ(a1.fields.size(), 1u);
@@ -32,11 +32,11 @@ TEST(Codegen, Figure5CallSitePlansAreSpecializedPerSite) {
   // (Figure 6, marshaler_Work.go.2 copies s.p.data directly).
   const auto& s2 = prog.site(p.tags_for("Work.foo").at(1));
   const serial::NodePlan& a2 = *s2.plan->args[0];
-  EXPECT_FALSE(a2.dynamic_dispatch);
+  EXPECT_FALSE(a2.is_dynamic());
   EXPECT_EQ(a2.expected_class, p.cls("Derived2"));
   ASSERT_EQ(a2.fields.size(), 1u);
   ASSERT_NE(a2.fields[0].ref_plan, nullptr);
-  EXPECT_FALSE(a2.fields[0].ref_plan->dynamic_dispatch);
+  EXPECT_FALSE(a2.fields[0].ref_plan->is_dynamic());
   EXPECT_EQ(a2.fields[0].ref_plan->expected_class, p.cls("Derived1"));
 
   EXPECT_EQ(s1.dynamic_nodes, 0u);
@@ -52,7 +52,7 @@ TEST(Codegen, Figure7ClassModePlansAreDynamic) {
   const serial::NodePlan& a1 = *s1.plan->args[0];
   // Figure 7: "s.serialize(m); // note: method call" — dynamic dispatch
   // from the declared type, type info on the wire, cycle table on.
-  EXPECT_TRUE(a1.dynamic_dispatch);
+  EXPECT_TRUE(a1.is_dynamic());
   EXPECT_EQ(a1.expected_class, p.cls("Base"));
   EXPECT_EQ(a1.type_info, serial::TypeInfoMode::CompactId);
   EXPECT_TRUE(a1.cycle_check);
@@ -72,10 +72,10 @@ TEST(Codegen, Figure13ArrayMarshalerShape) {
   EXPECT_EQ(s.plan->ret, nullptr);
   const serial::NodePlan& outer = *s.plan->args[0];
   EXPECT_EQ(outer.expected_class, p.cls("[L[double;"));
-  EXPECT_FALSE(outer.dynamic_dispatch);
+  EXPECT_FALSE(outer.is_dynamic());
   ASSERT_NE(outer.elem_plan, nullptr);
   EXPECT_EQ(outer.elem_plan->expected_class, p.cls("[double"));
-  EXPECT_FALSE(outer.elem_plan->dynamic_dispatch);
+  EXPECT_FALSE(outer.elem_plan->is_dynamic());
 
   // The pseudo code reads like Figure 13.
   const std::string code = serial::to_pseudocode(*s.plan, *p.types);
@@ -92,11 +92,11 @@ TEST(Codegen, Figure14RecursiveListInlinesAsMonomorphicLoop) {
   // a LinkedList, so §3.1 eliminates the recursive serializer call: the
   // generated code loops back into the head's inlined body.
   const serial::NodePlan& head = *s.plan->args[0];
-  EXPECT_FALSE(head.dynamic_dispatch);
+  EXPECT_FALSE(head.is_dynamic());
   EXPECT_EQ(head.expected_class, p.cls("LinkedList"));
   ASSERT_EQ(head.fields.size(), 1u);
   ASSERT_NE(head.fields[0].ref_plan, nullptr);
-  EXPECT_FALSE(head.fields[0].ref_plan->dynamic_dispatch);
+  EXPECT_FALSE(head.fields[0].ref_plan->is_dynamic());
   EXPECT_EQ(head.fields[0].ref_plan->recurse_to, &head);
   EXPECT_EQ(s.recursive_nodes, 1u);
   EXPECT_EQ(s.dynamic_nodes, 0u);
@@ -166,7 +166,7 @@ TEST(Codegen, PolymorphicArgumentFallsBackToDynamic) {
   }
   CompiledProgram prog = compile(m, OptLevel::Site);
   const auto& s = prog.site(1);
-  EXPECT_TRUE(s.plan->args[0]->dynamic_dispatch);
+  EXPECT_TRUE(s.plan->args[0]->is_dynamic());
   EXPECT_EQ(s.plan->args[0]->expected_class, base);
   EXPECT_EQ(s.dynamic_nodes, 1u);
 }
@@ -179,7 +179,7 @@ TEST(Codegen, WebserverPlansMatchPaperSection54) {
   EXPECT_TRUE(s.plan->reuse_args);          // url string
   EXPECT_TRUE(s.plan->reuse_ret);           // returned page
   ASSERT_NE(s.plan->ret, nullptr);
-  EXPECT_FALSE(s.plan->ret->dynamic_dispatch);  // inline String plan
+  EXPECT_FALSE(s.plan->ret->is_dynamic());  // inline String plan
 }
 
 TEST(Codegen, SuperoptPlansMatchPaperSection53) {
@@ -191,11 +191,11 @@ TEST(Codegen, SuperoptPlansMatchPaperSection53) {
   EXPECT_EQ(s.plan->ret, nullptr);          // void
   // Program -> code array -> Instruction -> three Operands, all inline.
   const serial::NodePlan& prog_node = *s.plan->args[0];
-  EXPECT_FALSE(prog_node.dynamic_dispatch);
+  EXPECT_FALSE(prog_node.is_dynamic());
   const serial::NodePlan& arr = *prog_node.fields[0].ref_plan;
-  EXPECT_FALSE(arr.dynamic_dispatch);
+  EXPECT_FALSE(arr.is_dynamic());
   const serial::NodePlan& ins = *arr.elem_plan;
-  EXPECT_FALSE(ins.dynamic_dispatch);
+  EXPECT_FALSE(ins.is_dynamic());
   EXPECT_EQ(s.dynamic_nodes, 0u);
   EXPECT_EQ(s.inline_nodes, 6u);  // program + array + instr + 3 operands
 }
@@ -220,12 +220,40 @@ TEST(Codegen, ToRuntimeSiteBindsMethodAndHeavyFlag) {
   CompiledProgram site_prog = compile(*p.module, OptLevel::Site);
   rmi::CompiledCallSite cs = to_runtime_site(site_prog, p.tag("send"), 7);
   EXPECT_EQ(cs.method_id, 7u);
-  EXPECT_FALSE(cs.heavy);
+  EXPECT_EQ(cs.level, OptLevel::Site);
   ASSERT_NE(cs.plan, nullptr);
+  EXPECT_EQ(cs.plan->args[0]->type_info, serial::TypeInfoMode::None);
 
   CompiledProgram heavy_prog = compile(*p.module, OptLevel::Heavy);
   rmi::CompiledCallSite hs = to_runtime_site(heavy_prog, p.tag("send"), 7);
-  EXPECT_TRUE(hs.heavy);
+  EXPECT_EQ(hs.level, OptLevel::Heavy);
+  ASSERT_NE(hs.plan, nullptr);
+  EXPECT_EQ(hs.plan->args[0]->type_info, serial::TypeInfoMode::FullName);
+}
+
+TEST(Codegen, HeavyLevelPlansWriteClassNames) {
+  // The introspective baseline is plan data: every root of every Heavy
+  // site is a dynamic node that names its object's class on the wire.
+  std::size_t roots = 0;
+  for (const auto& [file, text] : apps::figures::sources()) {
+    SCOPED_TRACE(std::string(file));
+    FigureProgram p = frontend::compile_source(text);
+    CompiledProgram prog = compile(*p.module, OptLevel::Heavy);
+    for (const auto& [tag, decision] : prog.sites) {
+      const serial::CallSitePlan& plan = *decision.plan;
+      std::vector<const serial::NodePlan*> nodes;
+      for (const auto& a : plan.args) nodes.push_back(a.get());
+      if (plan.ret) nodes.push_back(plan.ret.get());
+      for (const serial::NodePlan* n : nodes) {
+        EXPECT_EQ(n->type_info, serial::TypeInfoMode::FullName);
+        EXPECT_NE(serial::to_pseudocode(*n, *p.types)
+                      .find("writes class name"),
+                  std::string::npos);
+        ++roots;
+      }
+    }
+  }
+  EXPECT_GE(roots, apps::figures::sources().size());  // one per program
 }
 
 TEST(Codegen, PaperLevelNamesMatchTables) {

@@ -113,7 +113,7 @@ om::ObjRef synthesize(om::Heap& heap, const om::TypeRegistry& types,
   }
   if (depth > 6) return nullptr;
   const om::ClassId cls_id = p->expected_class;
-  if (p->dynamic_dispatch) {
+  if (p->is_dynamic()) {
     // Any class compatible with the declared bound; fall back to the
     // declared class itself when it is concrete.
     if (cls_id == om::kNoClass) return nullptr;
@@ -135,7 +135,7 @@ om::ObjRef synthesize(om::Heap& heap, const om::TypeRegistry& types,
     return arr;
   }
   om::ObjRef obj = heap.alloc(cls);
-  if (p->dynamic_dispatch) {
+  if (p->is_dynamic()) {
     // Fill fields per the runtime class's own plan shape.
     for (const auto& f : cls.fields) {
       if (f.kind == om::TypeKind::Ref) continue;
@@ -146,7 +146,7 @@ om::ObjRef synthesize(om::Heap& heap, const om::TypeRegistry& types,
       if (depth < 4 && rng.next_below(2) == 0) {
         serial::NodePlan sub;
         sub.expected_class = f.ref_class;
-        sub.dynamic_dispatch = true;
+        sub.type_info = p->type_info;
         obj->set_ref(f, synthesize(heap, types, sub, rng, depth + 1));
       }
     }

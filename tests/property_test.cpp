@@ -161,13 +161,14 @@ TEST_P(RoundTripP, HeavyModeRoundTripsWildGraphs) {
   SplitMix64 rng(GetParam() * 104729 + 2);
   for (int round = 0; round < 6; ++round) {
     ObjRef g = random_graph(u, rng, 20, /*wild=*/true);
+    auto root = make_dynamic_node(om::kNoClass, TypeInfoMode::FullName);
     SerialStats ws;
     SerialWriter w(u.class_plans, ws, true);
     ByteBuffer buf;
-    w.write_introspective(buf, g);
+    w.write(buf, *root, g);
     SerialStats rs;
     SerialReader r(u.class_plans, u.heap, rs, true);
-    ObjRef copy = r.read_introspective(buf);
+    ObjRef copy = r.read(buf, *root);
     EXPECT_TRUE(om::deep_equals(g, copy));
     u.heap.free_graph(g);
     u.heap.free_graph(copy);

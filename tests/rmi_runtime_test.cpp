@@ -413,8 +413,9 @@ TEST_F(RmiTest, HeavyProtocolCostsMoreThanClassProtocol) {
   const auto mid = sys.define_method(
       "noop", [](CallContext&, auto, auto) { return HandlerResult{}; });
   const auto class_s = sys.add_callsite(class_site(mid, false, {point_id}));
-  CompiledCallSite heavy = class_site(mid, false, {point_id});
-  heavy.heavy = true;
+  CompiledCallSite heavy = class_site(mid, false, {});
+  heavy.plan->args.push_back(
+      serial::make_dynamic_node(point_id, serial::TypeInfoMode::FullName));
   const auto heavy_s = sys.add_callsite(std::move(heavy));
   const RemoteRef ref =
       sys.export_object(1, cluster.machine(1).heap().alloc(point_id));
@@ -430,6 +431,36 @@ TEST_F(RmiTest, HeavyProtocolCostsMoreThanClassProtocol) {
       cluster.stats().bytes - bytes_before - class_bytes;
   EXPECT_GT(heavy_bytes, class_bytes);
   h0.free(p);
+}
+
+TEST_F(RmiTest, ArgumentOutsideTheDeclaredClassIsRejectedBeforeTheHandler) {
+  // The site declares a Point but the caller passes a double[1]: the
+  // callee's unmarshaler must refuse the stream rather than hand the
+  // handler an 8-byte array to read two doubles from.
+  bool ran = false;
+  const auto mid = sys.define_method(
+      "norm", [&](CallContext&, auto, auto) {
+        ran = true;
+        return HandlerResult{};
+      });
+  const auto site = sys.add_callsite(class_site(mid, false, {point_id}));
+  const RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc(point_id));
+  sys.start();
+
+  om::Heap& h0 = cluster.machine(0).heap();
+  ObjRef row = h0.alloc_array(row_id, 1);
+  try {
+    sys.invoke(0, ref, site, std::array{row});
+    ADD_FAILURE() << "a double[] passed as a Point was accepted";
+  } catch (const RemoteException& e) {
+    EXPECT_NE(std::string(e.what()).find("undecodable call"),
+              std::string::npos)
+        << e.what();
+  }
+  sys.stop();
+  EXPECT_FALSE(ran);
+  h0.free(row);
 }
 
 TEST_F(RmiTest, ConcurrentCallersFromOneMachineAreMatchedBySeq) {

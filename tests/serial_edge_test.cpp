@@ -1,6 +1,6 @@
-// Edge-case tests for the serialization subsystem: the inline+CompactId
-// protocol variant, protocol violations, unknown classes, handle misuse,
-// and the zero-copy cost accounting.
+// Edge-case tests for the serialization subsystem: protocol violations,
+// unknown classes, wire classes outside a node's declared type, handle
+// misuse, and the zero-copy cost accounting.
 #include <gtest/gtest.h>
 
 #include "serial/class_plans.hpp"
@@ -29,50 +29,6 @@ class SerialEdgeTest : public ::testing::Test {
   ClassId darr = om::kNoClass;
 };
 
-TEST_F(SerialEdgeTest, InlineNodeWithCompactIdRoundTrips) {
-  // A plan variant between BARE and dynamic: statically known layout but
-  // type id still on the wire (belt-and-suspenders protocols use this).
-  auto plan = std::make_unique<NodePlan>();
-  plan->expected_class = point;
-  plan->type_info = TypeInfoMode::CompactId;
-  const om::ClassDescriptor& c = types.get(point);
-  for (const auto& f : c.fields) {
-    NodePlan::FieldAction fa;
-    fa.field = &f;
-    plan->fields.push_back(std::move(fa));
-  }
-
-  ObjRef p = heap.alloc(c);
-  p->set<double>(c.fields[0], 1.5);
-  SerialStats ws;
-  SerialWriter w(class_plans, ws, false);
-  ByteBuffer buf;
-  w.write(buf, *plan, p);
-  EXPECT_GT(ws.type_info_bytes, 0u);
-
-  SerialStats rs;
-  SerialReader r(class_plans, heap, rs, false);
-  ObjRef copy = r.read(buf, *plan);
-  EXPECT_TRUE(om::deep_equals(p, copy));
-  EXPECT_EQ(rs.type_decodes, 1u);
-  heap.free(p);
-  heap.free(copy);
-}
-
-TEST_F(SerialEdgeTest, WireTypeMismatchOnInlinePlanThrows) {
-  auto plan = std::make_unique<NodePlan>();
-  plan->expected_class = point;
-  plan->type_info = TypeInfoMode::CompactId;
-
-  // Hand-craft a stream claiming a different class id.
-  ByteBuffer buf;
-  buf.put_u8(wire::kTagInline);
-  buf.put_varint(darr);
-  SerialStats rs;
-  SerialReader r(class_plans, heap, rs, false);
-  EXPECT_THROW(r.read(buf, *plan), Error);
-}
-
 TEST_F(SerialEdgeTest, HandleTagWithoutCycleProtocolThrows) {
   auto plan = serial::make_dynamic_node(point);
   ByteBuffer buf;
@@ -100,16 +56,68 @@ TEST_F(SerialEdgeTest, UnknownClassIdOnWireThrows) {
   buf.put_varint(9999);
   SerialStats rs;
   SerialReader r(class_plans, heap, rs, true);
-  EXPECT_THROW(r.read(buf, *plan), Error);
+  EXPECT_THROW(r.read(buf, *plan), DecodeError);
 }
 
 TEST_F(SerialEdgeTest, UnknownClassNameOnHeavyWireThrows) {
+  auto plan = serial::make_dynamic_node(om::kNoClass, TypeInfoMode::FullName);
   ByteBuffer buf;
   buf.put_u8(wire::kTagInline);
   buf.put_string("com/example/DoesNotExist");
   SerialStats rs;
   SerialReader r(class_plans, heap, rs, true);
-  EXPECT_THROW(r.read_introspective(buf), Error);
+  EXPECT_THROW(r.read(buf, *plan), DecodeError);
+}
+
+// A dynamic node declared Point must not materialize a double[] the
+// stream names, in either type-info mode: a handler reading the second
+// field of that "Point" would read past the array's 8-byte payload.
+TEST_F(SerialEdgeTest, WireClassOutsideDeclaredTypeThrowsWithClassIds) {
+  auto plan = serial::make_dynamic_node(point);
+  ByteBuffer buf;
+  buf.put_u8(wire::kTagInline);
+  buf.put_varint(darr);
+  buf.put_varint(1);
+  buf.put_f64(1.5);
+  SerialStats rs;
+  SerialReader r(class_plans, heap, rs, true);
+  EXPECT_THROW(r.read(buf, *plan), DecodeError);
+  EXPECT_EQ(rs.objects_allocated, 0u);
+}
+
+TEST_F(SerialEdgeTest, WireClassOutsideDeclaredTypeThrowsWithClassNames) {
+  auto plan = serial::make_dynamic_node(point, TypeInfoMode::FullName);
+  ByteBuffer buf;
+  buf.put_u8(wire::kTagInline);
+  buf.put_string(types.get(darr).name);
+  buf.put_varint(1);
+  buf.put_f64(1.5);
+  SerialStats rs;
+  SerialReader r(class_plans, heap, rs, true);
+  EXPECT_THROW(r.read(buf, *plan), DecodeError);
+  EXPECT_EQ(rs.objects_allocated, 0u);
+}
+
+TEST_F(SerialEdgeTest, SubclassesOfTheDeclaredTypeDecodeInBothModes) {
+  const ClassId point3 =
+      types.define_class("Point3", {{"z", TypeKind::Double}}, point);
+  ObjRef p = heap.alloc(point3);
+  for (TypeInfoMode mode : {TypeInfoMode::CompactId, TypeInfoMode::FullName}) {
+    for (ClassId declared : {point, om::kNoClass}) {
+      auto plan = serial::make_dynamic_node(declared, mode);
+      SerialStats ws;
+      SerialWriter w(class_plans, ws, true);
+      ByteBuffer buf;
+      w.write(buf, *plan, p);
+      SerialStats rs;
+      SerialReader r(class_plans, heap, rs, true);
+      ObjRef copy = r.read(buf, *plan);
+      EXPECT_EQ(copy->class_id(), point3);
+      EXPECT_TRUE(om::deep_equals(p, copy));
+      heap.free(copy);
+    }
+  }
+  heap.free(p);
 }
 
 TEST_F(SerialEdgeTest, CorruptTagThrows) {

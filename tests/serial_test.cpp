@@ -1,5 +1,5 @@
 // Tests for the serialization subsystem: cycle table, class-specific plans,
-// call-site plans, the three wire protocols, and argument reuse.
+// call-site plans, the three type-info modes, and argument reuse.
 #include <gtest/gtest.h>
 
 #include "serial/class_plans.hpp"
@@ -342,8 +342,9 @@ TEST_F(SerialTest, IntrospectiveRoundTripsAndIsHeaviest) {
 
   ByteBuffer heavy_buf, compact_buf;
   SerialStats hs, cs;
+  auto heavy_root = make_dynamic_node(node_id, TypeInfoMode::FullName);
   SerialWriter wh(class_plans, hs, true);
-  wh.write_introspective(heavy_buf, list);
+  wh.write(heavy_buf, *heavy_root, list);
   auto root = make_dynamic_node(node_id);
   SerialWriter wc(class_plans, cs, true);
   wc.write(compact_buf, *root, list);
@@ -354,7 +355,7 @@ TEST_F(SerialTest, IntrospectiveRoundTripsAndIsHeaviest) {
 
   SerialStats rs;
   SerialReader r(class_plans, heap, rs, true);
-  ObjRef copy = r.read_introspective(heavy_buf);
+  ObjRef copy = r.read(heavy_buf, *heavy_root);
   EXPECT_TRUE(om::deep_equals(list, copy));
   heap.free_graph(list);
   heap.free_graph(copy);
@@ -363,13 +364,14 @@ TEST_F(SerialTest, IntrospectiveRoundTripsAndIsHeaviest) {
 TEST_F(SerialTest, IntrospectiveRoundTripsCycles) {
   define_node();
   ObjRef ring = make_list(3, true);
+  auto root = make_dynamic_node(node_id, TypeInfoMode::FullName);
   SerialStats ws;
   SerialWriter w(class_plans, ws, true);
   ByteBuffer buf;
-  w.write_introspective(buf, ring);
+  w.write(buf, *root, ring);
   SerialStats rs;
   SerialReader r(class_plans, heap, rs, true);
-  ObjRef copy = r.read_introspective(buf);
+  ObjRef copy = r.read(buf, *root);
   EXPECT_TRUE(om::deep_equals(ring, copy));
   heap.free_graph(ring);
   heap.free_graph(copy);
