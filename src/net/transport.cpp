@@ -330,20 +330,22 @@ wire::SendOutcome FaultyTransport::submit(Machine& sender, Machine& receiver,
                 frame.charged_bytes());
     (void)charge_and_schedule(sender, frame.charged_bytes());
     // Demonstrate the fail-closed path end to end: flip one bit of the
-    // real image and insist the decoder rejects it.
+    // real image and insist the decoder rejects it.  No flip can pass: one
+    // in the body changes its CRC-32C, one in the checksum field no longer
+    // matches the body's, and the two frame tags differ in two bits.
     ByteBuffer image = wire::encode_frame(frame);
     std::vector<std::uint8_t> bytes(std::move(image).take());
     const std::size_t bit = static_cast<std::size_t>(
         dice.next_below(bytes.size() * 8));
     bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     ByteBuffer damaged(std::move(bytes));
+    bool rejected = false;
     try {
       (void)wire::decode_frame(damaged);
-      // A flip the checksum failed to catch would be a decoder bug; the
-      // 32-bit FNV residual makes this unreachable in practice.
     } catch (const DecodeError&) {
-      // expected: rejected, never decoded into the runtime
+      rejected = true;  // never decoded into the runtime
     }
+    RMIOPT_CHECK(rejected, "a one-bit flip passed the frame checksum");
     return wire::SendOutcome::Nacked;
   }
 

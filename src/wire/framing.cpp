@@ -1,16 +1,15 @@
 #include "wire/framing.hpp"
 
+#include "support/crc32c.hpp"
 #include "support/error.hpp"
-#include "support/hash.hpp"
 
 namespace rmiopt::wire {
 
-namespace {
-
-std::uint32_t image_checksum(const std::uint8_t* data, std::size_t len) {
-  const std::uint64_t h = fnv1a(data, len);
-  return static_cast<std::uint32_t>(h ^ (h >> 32));
+std::uint32_t frame_checksum(const std::uint8_t* body, std::size_t len) {
+  return crc32c(body, len);
 }
+
+namespace {
 
 // A deadline is present on the wire only when set, signalled by a flag
 // bit that never reaches MessageHeader::flags (it is an encoding detail).
@@ -90,7 +89,7 @@ Frame decode_frame_body(ByteBuffer& buf) {
   const std::uint32_t declared = buf.get_u32();
   const auto bytes = buf.contents();
   const std::uint32_t actual =
-      image_checksum(bytes.data() + buf.read_pos(), buf.remaining());
+      frame_checksum(bytes.data() + buf.read_pos(), buf.remaining());
   if (declared != actual) {
     throw DecodeError("frame checksum mismatch: image corrupted in transit");
   }
@@ -131,7 +130,7 @@ void encode_frame_impl(const Frame& frame, ByteBuffer& out) {
   }
   out.put_u8(frame.messages.size() == 1 ? kSingleFrameTag : kBatchFrameTag);
   const auto body_bytes = body.contents();
-  out.put_u32(image_checksum(body_bytes.data(), body_bytes.size()));
+  out.put_u32(frame_checksum(body_bytes.data(), body_bytes.size()));
   out.put_bytes(body_bytes.data(), body_bytes.size());
 }
 

@@ -8,20 +8,23 @@
 // padding and a decoder can detect truncation:
 //
 //   frame   := tag u8            (kSingleFrameTag | kBatchFrameTag)
-//              checksum u32      (FNV-1a over every following byte)
+//              checksum u32      (CRC-32C over every following byte)
 //              link_seq varint   (per directed src->dst link, from 0)
 //              count    varint   (batch frames only)
 //              count x message
 //   message := kind u8
 //              callsite_id u32, target_export u32, seq u32
 //              source u16, dest u16
+//              flags u8, deadline_ns varint (only if flags bit 0x80)
 //              payload_len varint, payload bytes
 //
 // The checksum makes corruption *detectable*: a receiver verifies it
 // before trusting any length or kind field, rejects the frame with a
 // DecodeError, and NACKs so the sender retransmits — a corrupted frame is
-// never decoded into the runtime.  decode_frame throws only typed errors
-// (rmiopt::DecodeError) on any malformed input; it never aborts.
+// never decoded into the runtime.  CRC-32C catches every error burst of
+// up to 32 bits, so every 1-bit error, by construction.  decode_frame
+// throws only typed errors (rmiopt::DecodeError) on any malformed input;
+// it never aborts.
 //
 // Note the *charged* size of a message on the simulated wire stays
 // Message::wire_size() (header struct + payload) for cost-model and
@@ -38,6 +41,11 @@ namespace rmiopt::wire {
 
 inline constexpr std::uint8_t kSingleFrameTag = 0xF1;
 inline constexpr std::uint8_t kBatchFrameTag = 0xF2;
+
+// The u32 that follows the frame tag, computed over the `len` image bytes
+// after it (link_seq to the end): CRC-32C.  encode_frame writes it and
+// decode_frame rejects an image whose field differs.
+std::uint32_t frame_checksum(const std::uint8_t* body, std::size_t len);
 
 // A unit of transmission on one directed machine-to-machine link.  All
 // messages in a frame share one network traversal (one latency, one send

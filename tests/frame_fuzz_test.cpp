@@ -15,7 +15,6 @@
 #include "serial/reader.hpp"
 #include "serial/writer.hpp"
 #include "support/error.hpp"
-#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "wire/framing.hpp"
 
@@ -83,8 +82,9 @@ TEST(FrameFuzz, EveryTruncationOfEveryImageIsRejected) {
 }
 
 TEST(FrameFuzz, EverySingleBitFlipIsRejected) {
-  // The checksum covers the whole body, catches every 1-bit error by
-  // construction, and the two frame tags differ in two bits — so a single
+  // The CRC-32C covers the whole body and catches every 1-bit error by
+  // construction, a flip in the checksum field no longer matches the
+  // body's CRC, and the two frame tags differ in two bits — so a single
   // flip can never yield a valid image.
   SplitMix64 rng(0xCAFE);
   for (int iter = 0; iter < 20; ++iter) {
@@ -107,10 +107,39 @@ TEST(FrameFuzz, MultiBitDamageIsRejected) {
       const std::size_t bit = rng.next_below(bytes.size() * 8);
       bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     }
-    // A multi-bit collision with a 32-bit checksum has probability 2^-32
-    // per trial; over 500 seeded trials a Decoded outcome means a bug.
+    // Flips scattered wider than 32 bits carry no burst guarantee, but a
+    // CRC-32C collision has probability about 2^-32 per trial; over 500
+    // seeded trials a Decoded outcome means a bug.
     EXPECT_EQ(try_decode(std::move(bytes)), Outcome::Rejected)
         << "iter=" << iter;
+  }
+}
+
+TEST(FrameFuzz, EveryBurstOfAtMost32BitsIsRejected) {
+  // CRC-32C's guarantee: any error confined to 32 consecutive bits of the
+  // body is detected.  Bits run in the CRC's own order, least significant
+  // first within each byte, and every burst has its first and last bits
+  // set so its length is exact.
+  constexpr std::size_t kHeader = 5;  // tag u8 + checksum u32
+  SplitMix64 rng(0xB0057);
+  for (int iter = 0; iter < 3; ++iter) {
+    const std::vector<std::uint8_t> bytes = image_of(random_frame(rng));
+    const std::size_t body_bits = (bytes.size() - kHeader) * 8;
+    for (std::size_t len = 1; len <= 32; ++len) {
+      for (std::size_t start = 0; start + len <= body_bits; ++start) {
+        const std::uint64_t ends = 1u | (std::uint64_t{1} << (len - 1));
+        const std::uint64_t burst =
+            ends | (rng.next() & ((std::uint64_t{1} << len) - 1));
+        std::vector<std::uint8_t> damaged = bytes;
+        for (std::size_t i = 0; i < len; ++i) {
+          if (((burst >> i) & 1u) == 0) continue;
+          const std::size_t bit = kHeader * 8 + start + i;
+          damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        }
+        EXPECT_EQ(try_decode(std::move(damaged)), Outcome::Rejected)
+            << "iter=" << iter << " len=" << len << " start=" << start;
+      }
+    }
   }
 }
 
@@ -180,19 +209,24 @@ TEST(VarintFuzz, OverlongLinkSeqInValidFrameIsRejected) {
   m.header.kind = MsgKind::Call;
   m.payload.put_u8(0x42);
   frame.messages.push_back(std::move(m));
-  std::vector<std::uint8_t> bytes = image_of(frame);
+  const std::vector<std::uint8_t> bytes = image_of(frame);
   // Layout: [tag u8][checksum u32][body...]; body starts with link_seq.
   ASSERT_EQ(bytes[5], 0x00);
-  std::vector<std::uint8_t> body(bytes.begin() + 5, bytes.end());
-  body[0] = 0x80;
-  body.insert(body.begin() + 1, 0x00);
-  const std::uint64_t h = fnv1a(body.data(), body.size());
-  const auto checksum = static_cast<std::uint32_t>(h ^ (h >> 32));
-  ByteBuffer out;
-  out.put_u8(bytes[0]);
-  out.put_u32(checksum);
-  out.put_bytes(body.data(), body.size());
-  EXPECT_EQ(try_decode(std::move(out).take()), Outcome::Rejected);
+  const std::vector<std::uint8_t> canonical(bytes.begin() + 5, bytes.end());
+  std::vector<std::uint8_t> overlong = canonical;
+  overlong[0] = 0x80;
+  overlong.insert(overlong.begin() + 1, 0x00);
+  const auto image_with = [&](const std::vector<std::uint8_t>& body) {
+    ByteBuffer out;
+    out.put_u8(bytes[0]);
+    out.put_u32(frame_checksum(body.data(), body.size()));
+    out.put_bytes(body.data(), body.size());
+    return std::move(out).take();
+  };
+  // Positive control: the same hand-built image with the canonical
+  // link_seq decodes, so the checksum is not what rejects the forgery.
+  EXPECT_EQ(try_decode(image_with(canonical)), Outcome::Decoded);
+  EXPECT_EQ(try_decode(image_with(overlong)), Outcome::Rejected);
 }
 
 // ---- borrowed decode passes that fail midway --------------------------------

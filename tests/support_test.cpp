@@ -1,11 +1,15 @@
-// Unit tests for src/support: byte buffers, hashing, RNG, virtual time,
-// table formatting.
+// Unit tests for src/support: byte buffers, hashing, CRC-32C, RNG, virtual
+// time, table formatting.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <limits>
+#include <string_view>
+#include <vector>
 
 #include "support/bytebuffer.hpp"
+#include "support/crc32c.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "support/sim_time.hpp"
@@ -87,6 +91,52 @@ TEST(Hash, JavaStringHashMatchesReference) {
 TEST(Hash, Fnv1aIsStable) {
   EXPECT_EQ(fnv1a("abc"), fnv1a("abc"));
   EXPECT_NE(fnv1a("abc"), fnv1a("abd"));
+}
+
+// Checks `data` against `expected` on both the dispatched and the portable
+// path, so the known answers hold whichever path this CPU selects.
+void expect_crc32c(const void* data, std::size_t len, std::uint32_t expected) {
+  EXPECT_EQ(crc32c(data, len), expected) << "len=" << len;
+  EXPECT_EQ(crc32c_portable(data, len), expected) << "len=" << len;
+}
+
+TEST(Crc32c, MatchesRfc3720KnownAnswers) {
+  // RFC 3720 Appendix B.4 (iSCSI) test vectors.
+  std::array<std::uint8_t, 32> bytes{};
+  expect_crc32c(bytes.data(), bytes.size(), 0x8A9136AAu);
+  bytes.fill(0xFF);
+  expect_crc32c(bytes.data(), bytes.size(), 0x62A8AB43u);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i);
+  }
+  expect_crc32c(bytes.data(), bytes.size(), 0x46DD794Eu);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  expect_crc32c(bytes.data(), bytes.size(), 0x113FDB5Cu);
+}
+
+TEST(Crc32c, MatchesCheckValueAndEmptyInput) {
+  const std::string_view check = "123456789";
+  expect_crc32c(check.data(), check.size(), 0xE3069283u);
+  expect_crc32c(nullptr, 0, 0u);
+}
+
+TEST(Crc32c, HardwareAndPortablePathsAgree) {
+  // Every length up to 300 at every start alignment covers the 8-byte
+  // loops' head and tail cases; one 65,600-byte buffer covers a bulk page.
+  SplitMix64 rng(0xC2C);
+  std::vector<std::uint8_t> bytes(65'600);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      EXPECT_EQ(crc32c(bytes.data() + offset, len),
+                crc32c_portable(bytes.data() + offset, len))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+  EXPECT_EQ(crc32c(bytes.data(), bytes.size()),
+            crc32c_portable(bytes.data(), bytes.size()));
 }
 
 TEST(Rng, IsDeterministicPerSeed) {

@@ -55,6 +55,34 @@ TEST(Framing, SingleMessageRoundTrip) {
   EXPECT_EQ(image.remaining(), 0u);  // the image was consumed exactly
 }
 
+TEST(Framing, KnownFrameHasAPinnedImage) {
+  // The exact bytes of one small frame: any change to the layout or to
+  // the checksum function shows here first.
+  Frame frame;
+  frame.link_seq = 41;
+  frame.messages.push_back(make_msg(MsgKind::Call, 0, 1, 4, 9));
+
+  const std::vector<std::uint8_t> expected = {
+      kSingleFrameTag,
+      0xE7, 0xA8, 0x5E, 0x0A,  // CRC-32C of the 24 bytes below, LE
+      0x29,                    // link_seq varint (41)
+      0x00,                    // kind: Call
+      0x07, 0x00, 0x00, 0x00,  // callsite_id
+      0x03, 0x00, 0x00, 0x00,  // target_export
+      0x09, 0x00, 0x00, 0x00,  // seq
+      0x00, 0x00,              // source machine
+      0x01, 0x00,              // dest machine
+      0x00,                    // flags (no deadline)
+      0x04,                    // payload_len varint
+      0x09, 0x2E, 0x53, 0x78,  // payload
+  };
+  const ByteBuffer image = encode_frame(frame);
+  const auto bytes = image.contents();
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.end()), expected);
+  EXPECT_EQ(frame_checksum(expected.data() + 5, expected.size() - 5),
+            0x0A5EA8E7u);
+}
+
 TEST(Framing, BatchRoundTripPreservesOrderAndContent) {
   Frame frame;
   frame.link_seq = 129;  // forces a multi-byte varint
