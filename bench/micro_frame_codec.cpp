@@ -46,16 +46,22 @@ void BM_Crc32cPortable(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32cPortable);
 
-// One frame carrying one Return message of Arg(0) payload bytes, encoded
-// to its image and decoded back (the owned-buffer path, which copies each
-// payload out as SimTransport does with zero-copy receive off).
-void BM_EncodeDecodeFrame(benchmark::State& state) {
-  const std::vector<std::uint8_t> payload = random_bytes(state.range(0));
+// One frame carrying one Return message of `n` random payload bytes.
+wire::Frame return_frame(std::int64_t n) {
+  const std::vector<std::uint8_t> payload = random_bytes(n);
   wire::Frame frame;
   wire::Message msg;
   msg.header.kind = wire::MsgKind::Return;
   msg.payload.put_bytes(payload.data(), payload.size());
   frame.messages.push_back(std::move(msg));
+  return frame;
+}
+
+// One Arg(0)-byte Return frame encoded to its image and decoded back (the
+// owned-buffer path, which copies each payload out as SimTransport does
+// with zero-copy receive off).
+void BM_EncodeDecodeFrame(benchmark::State& state) {
+  const wire::Frame frame = return_frame(state.range(0));
   for (auto _ : state) {
     ByteBuffer image = wire::encode_frame(frame);
     const wire::Frame back = wire::decode_frame(image);
@@ -64,6 +70,19 @@ void BM_EncodeDecodeFrame(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EncodeDecodeFrame)->Arg(64)->Arg(4096)->Arg(kPageBytes);
+
+// The decode half alone, from one encoded image: the checksum pass and
+// the one copy of the payload out of the image.
+void BM_DecodeFrame(benchmark::State& state) {
+  ByteBuffer image = wire::encode_frame(return_frame(state.range(0)));
+  for (auto _ : state) {
+    image.rewind();
+    const wire::Frame back = wire::decode_frame(image);
+    benchmark::DoNotOptimize(back.messages.front().payload.size());
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DecodeFrame)->Arg(64)->Arg(4096)->Arg(kPageBytes);
 
 }  // namespace
 

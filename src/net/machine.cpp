@@ -2,12 +2,46 @@
 
 namespace rmiopt::net {
 
+namespace {
+
+bool is_reply(wire::MsgKind kind) {
+  return kind == wire::MsgKind::Return || kind == wire::MsgKind::Ack ||
+         kind == wire::MsgKind::Exception || kind == wire::MsgKind::Reject;
+}
+
+}  // namespace
+
 void Machine::deliver(wire::Message msg, SimTime arrival) {
   {
     std::scoped_lock lock(mu_);
+    const bool reply = is_reply(msg.header.kind);
+    // A call after a reply: the machine calls and serves, and from now on
+    // never offers a reply (see machine.hpp).
+    if (msg.header.kind == wire::MsgKind::Call && took_reply_) {
+      serves_too_ = true;
+    }
+    took_reply_ = took_reply_ || reply;
+    // Only a reply the machine would take at once may skip the inbox.
+    // Behind a queued message, or while the receiver is busy, it queues:
+    // a claim then would let it overtake the calls waiting ahead of it.
+    if (reply && claim_ && !serves_too_ && inbox_.empty() &&
+        blocked_receivers_ > 0 && !closed_ &&
+        claim_(msg, [&] { charge_receive(arrival); })) {
+      return;
+    }
     inbox_.push_back(Envelope{std::move(msg), arrival});
   }
   cv_.notify_all();
+}
+
+void Machine::set_reply_claim(ReplyClaim claim) {
+  std::scoped_lock lock(mu_);
+  claim_ = std::move(claim);
+}
+
+std::size_t Machine::blocked_receivers() const {
+  std::scoped_lock lock(mu_);
+  return blocked_receivers_;
 }
 
 wire::DedupWindow::Verdict Machine::accept_link_seq(std::uint16_t src,
@@ -37,12 +71,19 @@ void Machine::add_receive_counters(NetworkStats::Snapshot& s) const {
 
 std::optional<Envelope> Machine::receive_blocking() {
   std::unique_lock lock(mu_);
-  cv_.wait(lock, [&] { return !inbox_.empty() || closed_; });
+  if (inbox_.empty() && !closed_) {
+    ++blocked_receivers_;
+    cv_.wait(lock, [&] { return !inbox_.empty() || closed_; });
+    --blocked_receivers_;
+  }
   if (inbox_.empty()) return std::nullopt;
   Envelope env = std::move(inbox_.front());
   inbox_.pop_front();
-  lock.unlock();
+  charge_receive(env.arrival);
+  return env;
+}
 
+void Machine::charge_receive(SimTime arrival) {
   // GM cost model (§5): a machine with a data-request outstanding *polls*
   // the network, so a message it waited for costs only a user-level poll;
   // the same holds while it is draining a backlog (every receive is a
@@ -50,15 +91,14 @@ std::optional<Envelope> Machine::receive_blocking() {
   // thread switch — when a message sat pending past the 20 µs threshold
   // while the host had not touched the network for at least as long.
   const SimTime before = clock_.now();
-  const bool waited = clock_.merge_at_least(env.arrival);
+  const bool waited = clock_.merge_at_least(arrival);
   const SimTime threshold = SimTime::nanos(cost_.poll_wakeup_ns);
   const bool kernel_wakeup = !waited &&
-                             (before - env.arrival) > threshold &&
+                             (before - arrival) > threshold &&
                              (before - last_receive_) > threshold;
   clock_.advance(SimTime::nanos(kernel_wakeup ? cost_.poll_wakeup_ns
                                               : cost_.recv_poll_ns));
   last_receive_ = clock_.now();
-  return env;
 }
 
 void Machine::close() {

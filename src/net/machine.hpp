@@ -6,11 +6,27 @@
 // (recv_poll_ns), while a message the receiver had to *wait* for wakes the
 // blocked kernel poll thread (poll_wakeup_ns) and merges the arrival time
 // into the receiver's clock.
+//
+// Who receives.  A message is normally taken by a thread blocked in
+// receive_blocking (the RMI runtime's dispatcher).  A reply can instead go
+// straight to the thread waiting for it, as a Manta thread waiting for a
+// reply polls it off the network itself: when the machine would take the
+// reply at once — its inbox is empty and a receiver is blocked — deliver()
+// offers it to the installed claim hook on the sending thread.  A claimed
+// reply is charged exactly as receive_blocking would charge it and never
+// wakes the blocked receiver; every other message queues as before.
+// A machine that is sent a call after it has taken a reply both calls and
+// serves: its callers and its receiver then advance its one clock
+// concurrently, and the virtual times depend on the order in which the
+// threads happen to run.  A claim would change that order (the caller
+// resumes a thread handoff earlier), so such a machine never offers a
+// reply again: from that call on, its replies always queue.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -48,8 +64,26 @@ class Machine {
   // ever touched with the knob on, so its counters stay zero otherwise.
   support::FramePool& frame_pool() { return pool_; }
 
-  // Called by the cluster: enqueue a message that arrives at `arrival`.
+  // Called by the cluster: enqueue a message that arrives at `arrival`,
+  // unless the claim hook takes it (see below).
   void deliver(wire::Message msg, SimTime arrival);
+
+  // Offered a reply (Return, Ack, Exception or Reject) that this machine
+  // would take at once, unless it has been sent a call since it took a
+  // reply (see the top of this file); runs on the sending thread under
+  // the inbox lock.
+  // To decline, it returns false without touching `msg`, which then
+  // queues intact.  To claim, it calls `charge` exactly once — the GM
+  // receive, as receive_blocking would apply it — then takes `msg` and
+  // returns true.  The hook must not call back into this machine's inbox.
+  using ReplyClaim = std::function<bool(wire::Message& msg,
+                                        const std::function<void()>& charge)>;
+  // Installs (or, with an empty hook, removes) the claim hook under the
+  // inbox lock: once this returns, deliver() no longer runs the old one.
+  void set_reply_claim(ReplyClaim claim);
+
+  // Threads currently blocked in receive_blocking on an empty inbox.
+  std::size_t blocked_receivers() const;
 
   // Receive-side NIC dedup: classifies `link_seq` of a frame arriving
   // from `src` against this machine's per-source sliding window.  Only a
@@ -81,11 +115,20 @@ class Machine {
   NetworkStats& stats_;
   support::FramePool pool_;
 
+  // Applies the GM poll/wakeup cost model for a message that arrives at
+  // `arrival` and is taken now.  Both receive paths (receive_blocking and
+  // a claimed reply) call it under mu_.
+  void charge_receive(SimTime arrival);
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Envelope> inbox_;
   std::unordered_map<std::uint16_t, wire::DedupWindow> dedup_;  // by source
   bool closed_ = false;
+  std::size_t blocked_receivers_ = 0;
+  ReplyClaim claim_;
+  bool took_reply_ = false;  // a reply has arrived here
+  bool serves_too_ = false;  // then a call did: replies are never offered
   // Virtual time of the last receive: a host that drained the network
   // recently is considered to be polling (no kernel wakeup charge).
   SimTime last_receive_;

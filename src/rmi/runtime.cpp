@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <unordered_set>
+#include <utility>
 
 namespace rmiopt::rmi {
 
@@ -181,13 +182,22 @@ void RmiSystem::start() {
     });
   }
   for (std::size_t i = 0; i < contexts_.size(); ++i) {
-    contexts_[i]->dispatcher = std::thread(
-        [this, i] { dispatch_loop(static_cast<std::uint16_t>(i)); });
+    const auto id = static_cast<std::uint16_t>(i);
+    cluster_.machine(id).set_reply_claim(
+        [this, id](wire::Message& msg, const std::function<void()>& charge) {
+          return claim_reply(id, msg, charge);
+        });
+    contexts_[i]->dispatcher = std::thread([this, id] { dispatch_loop(id); });
   }
 }
 
 void RmiSystem::stop() {
   if (!started_) return;
+  // From here every reply queues for the dispatchers, and no machine can
+  // call into this object after it is gone.
+  for (std::size_t i = 0; i < contexts_.size(); ++i) {
+    cluster_.machine(i).set_reply_claim({});
+  }
   cluster_.shutdown();
   for (auto& ctx : contexts_) {
     if (ctx->dispatcher.joinable()) ctx->dispatcher.join();
@@ -491,6 +501,34 @@ bool RmiSystem::try_fulfill_pending(MachineContext& ctx, std::uint32_t seq,
   return true;
 }
 
+thread_local std::vector<RmiSystem::HeldReply>* RmiSystem::held_replies_ =
+    nullptr;
+
+bool RmiSystem::claim_reply(std::uint16_t machine_id, wire::Message& msg,
+                            const std::function<void()>& charge) {
+  MachineContext& ctx = *contexts_[machine_id];
+  std::promise<PendingReply> prom;
+  {
+    std::scoped_lock lock(ctx.pending_mu);
+    auto it = ctx.pending.find(msg.header.seq);
+    if (it == ctx.pending.end()) return false;  // a stray: it queues
+    // Charged under pending_mu, so the slot cannot be failed or abandoned
+    // between the check and the charge.
+    charge();
+    note(Occurrence::ReplyDeliver, machine_id, msg.header.callsite_id,
+         msg.header.seq);
+    prom = std::move(it->second.promise);
+    ctx.pending.erase(it);
+  }
+  PendingReply rep{.msg = std::move(msg)};
+  if (held_replies_ != nullptr) {
+    held_replies_->push_back(HeldReply{std::move(prom), std::move(rep)});
+  } else {
+    prom.set_value(std::move(rep));
+  }
+  return true;
+}
+
 void RmiSystem::fail_pending_to(std::uint16_t machine) {
   for (auto& ctxp : contexts_) {
     std::vector<std::promise<PendingReply>> victims;
@@ -525,19 +563,37 @@ RmiSystem::CallAdmission RmiSystem::admit_call(std::uint16_t machine_id,
   auto it = ctx.reply_cache.find(key);
   if (it != ctx.reply_cache.end()) {
     if (!it->second.replied) return CallAdmission::InProgress;
-    *replay = it->second.reply;  // copy: the cache keeps its own
+    *replay = it->second.reply;  // shares the cached payload image
     return CallAdmission::Replied;
   }
   ctx.reply_cache.emplace(key, ReplyCacheEntry{});
   ctx.reply_cache_order.push_back(key);
+  evict_replies(machine_id, ctx, key);
+  return CallAdmission::Fresh;
+}
+
+void RmiSystem::cache_reply(std::uint16_t machine_id, MachineContext& ctx,
+                            std::uint64_t key, const wire::Message& reply) {
+  std::scoped_lock lock(ctx.amo_mu);
+  auto it = ctx.reply_cache.find(key);
+  if (it == ctx.reply_cache.end()) return;  // already evicted
+  it->second.replied = true;
+  it->second.reply = reply;  // shares the frozen payload image
+  ctx.reply_cache_bytes += reply.payload_size();
+  evict_replies(machine_id, ctx, key);
+}
+
+void RmiSystem::evict_replies(std::uint16_t machine_id, MachineContext& ctx,
+                              std::uint64_t keep) {
   // Bounded FIFO eviction of *completed* entries only.  An in-flight
   // entry (admitted, not yet replied) is the sole record that its call is
   // executing: evicting it would let a delayed duplicate be re-admitted
   // as Fresh and the handler run twice.  Such entries are pinned — moved
   // to the back of the order and counted — and the cache transiently
-  // exceeds its capacity by the number of concurrent in-flight calls.
+  // exceeds its bounds by the number of concurrent in-flight calls.
   std::size_t scanned = 0;
-  while (ctx.reply_cache.size() > exec_cfg_.reply_cache_capacity &&
+  while ((ctx.reply_cache.size() > exec_cfg_.reply_cache_capacity ||
+          ctx.reply_cache_bytes > kReplyCacheBytes) &&
          scanned < ctx.reply_cache_order.size()) {
     ++scanned;
     const std::uint64_t victim = ctx.reply_cache_order.front();
@@ -550,18 +606,13 @@ RmiSystem::CallAdmission RmiSystem::admit_call(std::uint16_t machine_id,
            static_cast<std::uint32_t>(victim));
       continue;
     }
+    if (victim == keep) {  // a reply alone past the byte bound stays
+      ctx.reply_cache_order.push_back(victim);
+      continue;
+    }
+    ctx.reply_cache_bytes -= vit->second.reply.payload_size();
     ctx.reply_cache.erase(vit);
   }
-  return CallAdmission::Fresh;
-}
-
-void RmiSystem::cache_reply(MachineContext& ctx, std::uint64_t key,
-                            const wire::Message& reply) {
-  std::scoped_lock lock(ctx.amo_mu);
-  auto it = ctx.reply_cache.find(key);
-  if (it == ctx.reply_cache.end()) return;  // already evicted
-  it->second.replied = true;
-  it->second.reply = reply;
 }
 
 RmiSystem::ReuseSlot& RmiSystem::reuse_slot(MachineContext& ctx,
@@ -903,10 +954,10 @@ void RmiSystem::answer(const ReplyToken& token, wire::MsgKind kind,
         write_value(w, reply, *plan.ret, value);
       }
       // Seal before the give_ownership free below and before the reply
-      // cache takes its copy: borrowed spans may alias `value`'s payload
-      // rows, and from here the frame image must be frozen (replayed
-      // duplicates and ARQ retransmits must match the first transmission
-      // byte for byte).
+      // cache records the reply: borrowed spans may alias `value`'s
+      // payload rows, and from here the frame image must be frozen
+      // (replayed duplicates and ARQ retransmits must match the first
+      // transmission byte for byte).
       reply.seal_gathered();
     }
   } else if (kind == wire::MsgKind::Exception) {
@@ -933,7 +984,12 @@ void RmiSystem::answer(const ReplyToken& token, wire::MsgKind kind,
   }
   // At-most-once: keep the reply (or the oneway tombstone) so a duplicate
   // of this call is answered by replay instead of re-executing the handler.
-  cache_reply(callee_ctx, call_key(token.caller_machine, token.seq), reply);
+  // Frozen first, the contiguous payload becomes a refcounted image that
+  // the cache entry and the frame on the wire share, as a sealed gathered
+  // payload already is: the cache holds no copy of its own.
+  reply.payload.freeze();
+  cache_reply(callee_id, callee_ctx, call_key(token.caller_machine, token.seq),
+              reply);
   if (token.oneway) return;  // nobody is waiting
   try {
     cluster_.send(std::move(reply));
@@ -1205,6 +1261,20 @@ void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall& call,
     }
   }
 
+  // From the reply on, every reply this thread's sends claim is held
+  // until the call ends (held_replies_), after the charges below, and then
+  // released in the order it was claimed.
+  struct Hold {
+    std::vector<HeldReply> replies;
+    std::vector<HeldReply>* saved;
+    Hold() : saved(std::exchange(held_replies_, &replies)) {}
+    ~Hold() {
+      held_replies_ = saved;
+      for (HeldReply& r : replies) r.promise.set_value(std::move(r.reply));
+    }
+    Hold(const Hold&) = delete;
+    Hold& operator=(const Hold&) = delete;
+  } hold;
   // Reply first: the return value may alias the argument graphs, so the
   // arguments stay live until the reply is serialized (as a GC would
   // ensure).  Handlers whose *deferred* reply uses argument data must set

@@ -4,6 +4,16 @@
 // Execution model (mirrors Manta-JavaParty, §5):
 //  * every machine runs one dispatcher thread that drains its inbox —
 //    "at any time only one thread can drain the network";
+//  * a reply goes straight to the caller waiting for it when its machine
+//    would take the reply at once (inbox empty, dispatcher blocked in
+//    receive_blocking) and serves no calls besides (net/machine.hpp):
+//    the sending thread charges the receive, notes ReplyDeliver and
+//    fulfils the caller's promise (claim_reply), as a Manta thread that
+//    waits for a reply polls it off the network itself — at the end of
+//    the call when that thread is answering one, so the call's last
+//    charges (its argument frees) precede the caller's next step.  Any
+//    other reply queues and the dispatcher fulfils it, so a reply never
+//    overtakes the calls queued ahead of it;
 //  * incoming Call messages are deserialized by the dispatcher (the paper
 //    holds the unmarshaler lock until the user's code starts), then the
 //    user handler runs through the machine's DispatchExecutor: inline on
@@ -143,13 +153,15 @@ class Cancelled : public Error {
 // A handler running inline on its machine's only dispatcher thread
 // (ExecutorConfig::dispatch_workers == 1, the paper's model) blocked on a
 // nested synchronous remote invoke.  The reply can only be dispatched by
-// the very thread that is blocked waiting for it, so without this check
-// the call would hang until the 30 s real-time backstop.  Recoverable:
-// the nested call is failed *before* the wait, the handler can catch it
-// (or surface it to its own caller as a RemoteException), and the system
-// keeps running.  The sizing rule: nested synchronous RMI requires
-// dispatch_workers >= 2 on the calling machine — or use invoke_oneway /
-// invoke_async with the future consumed off the dispatcher thread.
+// the very thread that is blocked waiting for it (a busy dispatcher is
+// not blocked in receive_blocking, so the reply is never claimed for the
+// caller either), so without this check the call would hang until the
+// 30 s real-time backstop.  Recoverable: the nested call is failed
+// *before* the wait, the handler can catch it (or surface it to its own
+// caller as a RemoteException), and the system keeps running.  The sizing
+// rule: nested synchronous RMI requires dispatch_workers >= 2 on the
+// calling machine — or use invoke_oneway / invoke_async with the future
+// consumed off the dispatcher thread.
 class NestedInvokeDeadlock : public Error {
  public:
   explicit NestedInvokeDeadlock(const std::string& what) : Error(what) {}
@@ -295,8 +307,11 @@ class RmiSystem {
   std::uint32_t add_callsite(CompiledCallSite site);
   RemoteRef export_object(std::uint16_t machine, om::ObjRef obj);
 
-  void start();  // spawns one dispatcher thread per machine
-  void stop();   // drains and joins the dispatchers
+  // Spawns one dispatcher thread per machine and installs each machine's
+  // reply claim hook.
+  void start();
+  // Removes the claim hooks, then drains and joins the dispatchers.
+  void stop();
 
   // ---- invocation ----------------------------------------------------------
   // Synchronous RMI from `caller` to `target` — a thin wrapper over
@@ -399,10 +414,18 @@ class RmiSystem {
   // the reply is cached, then replayable verbatim for late duplicates.
   // A cancelled or rejected call caches its Reject message here — the
   // tombstone: a duplicate replays the typed refusal, never re-executes.
+  // The entry shares the reply's frozen payload image with the frame on
+  // the wire; it holds no copy of its own.
   struct ReplyCacheEntry {
     bool replied = false;
     wire::Message reply;
   };
+
+  // Completed reply-cache entries are released, oldest first, once the
+  // payload bytes they hold pass this bound on one callee — beside the
+  // entry-count FIFO (ExecutorConfig::reply_cache_capacity).  4 MiB keeps
+  // 64 of the webserver's 64 KiB pages replayable.
+  static constexpr std::size_t kReplyCacheBytes = std::size_t{4} << 20;
 
   struct MachineContext {
     RmiStats stats;
@@ -416,6 +439,7 @@ class RmiSystem {
     std::mutex amo_mu;
     std::unordered_map<std::uint64_t, ReplyCacheEntry> reply_cache;
     std::deque<std::uint64_t> reply_cache_order;
+    std::size_t reply_cache_bytes = 0;  // payload bytes of cached replies
     // callsite id -> reuse state (callee side for args, caller side for ret)
     std::unordered_map<std::uint32_t, std::unique_ptr<ReuseSlot>> arg_cache;
     std::unordered_map<std::uint32_t, std::unique_ptr<ReuseSlot>> ret_cache;
@@ -545,6 +569,28 @@ class RmiSystem {
   // stray, never a write to a consumed promise.
   bool try_fulfill_pending(MachineContext& ctx, std::uint32_t seq,
                            PendingReply reply);
+  // Machine `machine_id`'s claim hook (net::Machine::ReplyClaim), run on
+  // the reply's sending thread under the inbox lock.  Under pending_mu it
+  // declines a reply with no live slot (the dispatcher then counts the
+  // stray), or charges the receive, notes ReplyDeliver, takes the slot
+  // and fulfils the caller's promise — or, while the sending thread is
+  // finishing a call, holds it (held_replies_).
+  bool claim_reply(std::uint16_t machine_id, wire::Message& msg,
+                   const std::function<void()>& charge);
+  // A reply claimed while its sending thread finishes the call it answers
+  // (execute_call, from the reply on): the call's own reply, and any
+  // queued replies a batching session flushes with it.  The callers are
+  // released when that call ends, once its remaining charges (the
+  // argument frees) are on the callee's clock: a caller woken during them
+  // could act on that machine (a local call, or another of its threads)
+  // before they land, and the makespan would depend on which thread ran
+  // first.
+  struct HeldReply {
+    std::promise<PendingReply> promise;
+    PendingReply reply;
+  };
+  // Where this thread holds such replies; null outside that window.
+  static thread_local std::vector<HeldReply>* held_replies_;
   // Fails every pending call addressed to `machine` with machine_down —
   // the failure detector's death callback, releasing callers already
   // blocked before the death was confirmed.
@@ -566,8 +612,14 @@ class RmiSystem {
                            std::uint64_t key, wire::Message* replay);
   // Records the outgoing reply so a duplicate of its call can be answered
   // by replay instead of re-execution.
-  void cache_reply(MachineContext& ctx, std::uint64_t key,
-                   const wire::Message& reply);
+  void cache_reply(std::uint16_t machine_id, MachineContext& ctx,
+                   std::uint64_t key, const wire::Message& reply);
+  // Under amo_mu: releases completed entries, oldest first, while the
+  // cache is past reply_cache_capacity entries or kReplyCacheBytes of
+  // payload.  In-flight entries are pinned (moved to the back, counted);
+  // `keep`, the entry just recorded, is never released.
+  void evict_replies(std::uint16_t machine_id, MachineContext& ctx,
+                     std::uint64_t keep);
 
   // ---- occurrences: counters and trace events ----------------------------
   // Everything the runtime counts or traces.  note() looks each one up in

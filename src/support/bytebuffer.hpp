@@ -9,10 +9,12 @@
 // Two storage modes:
 //  * owned (default): a growable std::vector, read/write;
 //  * view: a read-only span into externally owned memory, kept alive by a
-//    refcounted pin (typically a support::FramePool block).  Views carry
-//    no bytes of their own — this is how the zero-copy receive path hands
-//    a decoded Message a window into the pooled frame image without the
-//    per-message delivery copy.  Writing into a view is a logic error.
+//    refcounted pin (a support::FramePool block, or the storage freeze()
+//    took over).  Views carry no bytes of their own — this is how the
+//    zero-copy receive path hands a decoded Message a window into the
+//    pooled frame image without the per-message delivery copy, and how a
+//    frozen reply is shared by the reply cache and the wire.  Writing
+//    into a view is a logic error.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +48,20 @@ class ByteBuffer {
   }
 
   bool is_view() const { return ext_ != nullptr; }
+
+  // Turns an owned buffer into a view of the same bytes, pinned by a
+  // refcounted owner of the storage, so copies of the buffer share one
+  // image instead of each copying it.  No bytes move; the read cursor is
+  // kept.  A no-op on a view or an empty buffer.
+  void freeze() {
+    if (is_view() || bytes_.empty()) return;
+    auto owner =
+        std::make_shared<std::vector<std::uint8_t>>(std::move(bytes_));
+    bytes_ = {};
+    ext_ = owner->data();
+    ext_size_ = owner->size();
+    pin_ = std::move(owner);
+  }
 
   // The refcounted keep-alive backing a view (null for owned buffers).
   // The reader uses this as the borrow gate: a payload with a pin can

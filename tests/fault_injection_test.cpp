@@ -13,7 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "apps/lu.hpp"
 #include "apps/microbench.hpp"
@@ -410,6 +412,17 @@ class AtMostOnceTest : public ::testing::Test {
     return sys.add_callsite(std::move(cs));
   }
 
+  // Same, returning an object (class-mode dynamic root).
+  std::uint32_t add_returning_site(std::uint32_t method) {
+    rmi::CompiledCallSite cs;
+    cs.method_id = method;
+    cs.plan = std::make_unique<serial::CallSitePlan>();
+    cs.plan->name = "amo.page";
+    cs.plan->ret = serial::make_dynamic_node(om::kNoClass);
+    cs.plan->needs_cycle_table = true;
+    return sys.add_callsite(std::move(cs));
+  }
+
   // Crafted messages are processed by the dispatcher threads; poll the
   // counters (real time, generous bound) instead of racing stop().
   static void wait_until(const std::function<bool()>& done) {
@@ -464,6 +477,124 @@ TEST_F(AtMostOnceTest, DuplicateOfACompletedCallReplaysTheCachedReply) {
   EXPECT_EQ(callee.replayed_replies, 1u);
   // The replayed Ack found no pending call at the caller: dropped, counted.
   EXPECT_EQ(sys.stats(0).stray_replies, 1u);
+}
+
+TEST_F(AtMostOnceTest, DuplicateOfALargeReplyIsReplayedByteIdentically) {
+  std::atomic<int> executions{0};
+  const std::string page(64 * 1024, 'p');
+  const auto mid = sys.define_method(
+      "page", [&](rmi::CallContext& ctx, auto, auto) {
+        ++executions;
+        return rmi::HandlerResult{.value = ctx.heap().alloc_string(page),
+                                  .give_ownership = true};
+      });
+  const auto site = add_returning_site(mid);
+  const rmi::RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc_string("t"));
+  // Every reply the callee puts on the wire: header fields and payload.
+  std::mutex seen_mu;
+  std::vector<std::pair<wire::MessageHeader, std::vector<std::uint8_t>>> seen;
+  cluster.transport().set_frame_probe(
+      [&](std::uint16_t src, std::uint16_t, const wire::Frame& frame) {
+        if (src != 1) return;
+        std::scoped_lock lock(seen_mu);
+        for (const wire::Message& m : frame.messages) {
+          const auto bytes = m.payload.contents();
+          seen.emplace_back(m.header, std::vector<std::uint8_t>(
+                                          bytes.begin(), bytes.end()));
+        }
+      });
+  sys.start();
+
+  om::ObjRef value = sys.invoke(0, ref, site, {});
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(value->as_string_view(), page);
+  cluster.machine(0).heap().free_graph(value);
+  cluster.send(craft_call(site, ref.export_id, 1));  // the runtime's seq 1
+  wait_until([&] { return sys.stats(0).stray_replies >= 1; });
+  sys.stop();
+  cluster.transport().set_frame_probe(nullptr);
+
+  EXPECT_EQ(executions.load(), 1);
+  EXPECT_EQ(sys.stats(1).replayed_replies, 1u);
+  ASSERT_EQ(seen.size(), 2u);
+  const auto& [first, first_bytes] = seen[0];
+  const auto& [replay, replay_bytes] = seen[1];
+  EXPECT_EQ(first.kind, wire::MsgKind::Return);
+  EXPECT_EQ(replay.kind, first.kind);
+  EXPECT_EQ(replay.callsite_id, first.callsite_id);
+  EXPECT_EQ(replay.seq, first.seq);
+  EXPECT_EQ(replay.source_machine, first.source_machine);
+  EXPECT_EQ(replay.dest_machine, first.dest_machine);
+  EXPECT_GT(first_bytes.size(), page.size());
+  EXPECT_EQ(replay_bytes, first_bytes);
+}
+
+TEST_F(AtMostOnceTest, ByteBoundKeepsTheLatestReplyAndPinsInFlightCalls) {
+  std::atomic<int> page_runs{0}, parked{0};
+  const std::string page(64 * 1024, 'q');
+  const auto page_mid = sys.define_method(
+      "page", [&](rmi::CallContext& ctx, auto, auto) {
+        ++page_runs;
+        return rmi::HandlerResult{.value = ctx.heap().alloc_string(page),
+                                  .give_ownership = true};
+      });
+  const auto park_mid = sys.define_method(
+      "park", [&](rmi::CallContext&, auto, auto) {
+        ++parked;
+        return rmi::HandlerResult{.deferred = true};  // never replies
+      });
+  const auto page_site = add_returning_site(page_mid);
+  const auto park_site = add_site(park_mid);
+  const rmi::RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc_string("t"));
+  sys.start();
+
+  // 100 replies of 64 KiB: 6.4 MiB, well past the cache's 4 MiB bound.
+  constexpr std::uint32_t kCalls = 100;
+  for (std::uint32_t i = 0; i < kCalls; ++i) {
+    cluster.machine(0).heap().free_graph(sys.invoke(0, ref, page_site, {}));
+  }
+  // A duplicate of the latest call (the runtime numbered them 1..100) is
+  // replayed, not re-run.
+  cluster.send(craft_call(page_site, ref.export_id, kCalls));
+  // A duplicate of an in-flight call is dropped.
+  cluster.send(craft_call(park_site, ref.export_id, 5000));
+  cluster.send(craft_call(park_site, ref.export_id, 5000));
+  // The byte bound released the oldest replies: a duplicate of the first
+  // call is past the window and admitted afresh.
+  cluster.send(craft_call(page_site, ref.export_id, 1));
+  wait_until([&] { return sys.stats(0).stray_replies >= 2; });
+  sys.stop();
+
+  const auto callee = sys.stats(1);
+  EXPECT_EQ(callee.replayed_replies, 1u);
+  EXPECT_EQ(callee.duplicate_calls, 2u);  // the replay and the drop
+  EXPECT_EQ(parked.load(), 1);
+  EXPECT_EQ(page_runs.load(), static_cast<int>(kCalls) + 1);
+}
+
+TEST_F(AtMostOnceTest, AReplyPastTheByteBoundAloneIsStillReplayed) {
+  std::atomic<int> executions{0};
+  const std::string huge(5 << 20, 'h');  // one reply past the 4 MiB bound
+  const auto mid = sys.define_method(
+      "huge", [&](rmi::CallContext& ctx, auto, auto) {
+        ++executions;
+        return rmi::HandlerResult{.value = ctx.heap().alloc_string(huge),
+                                  .give_ownership = true};
+      });
+  const auto site = add_returning_site(mid);
+  const rmi::RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc_string("t"));
+  sys.start();
+
+  cluster.machine(0).heap().free_graph(sys.invoke(0, ref, site, {}));
+  cluster.send(craft_call(site, ref.export_id, 1));
+  wait_until([&] { return sys.stats(0).stray_replies >= 1; });
+  sys.stop();
+
+  EXPECT_EQ(executions.load(), 1);
+  EXPECT_EQ(sys.stats(1).replayed_replies, 1u);
 }
 
 TEST_F(AtMostOnceTest, DuplicateOfAnInFlightCallIsDropped) {

@@ -2,6 +2,8 @@
 // cost accounting, inbox semantics, and the network model's arithmetic.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "net/cluster.hpp"
@@ -201,6 +203,188 @@ TEST(Cluster, NetworkStatsCountTraffic) {
   // Without coalescing every message travels in its own frame.
   EXPECT_EQ(s.frames, 2u);
   EXPECT_EQ(s.coalesced, 0u);
+}
+
+// ---- the reply claim hook ---------------------------------------------------
+
+wire::Message make_reply(std::uint16_t from, std::uint16_t to,
+                         std::uint32_t seq) {
+  wire::Message m = make_msg(from, to);
+  m.header.kind = wire::MsgKind::Return;
+  m.header.seq = seq;
+  m.payload.put_string("reply body");
+  return m;
+}
+
+// Real-time poll (generous bound) until a thread is parked in
+// receive_blocking on `m`'s empty inbox.
+void wait_for_blocked_receiver(const Machine& m) {
+  for (int i = 0; i < 5000 && m.blocked_receivers() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(m.blocked_receivers(), 1u);
+}
+
+TEST(ReplyClaim, ReplyQueuesWhenNoReceiverWaits) {
+  om::TypeRegistry types;
+  Cluster cluster(2, types, test_cost());
+  Machine& m1 = cluster.machine(1);
+  int offered = 0;
+  m1.set_reply_claim([&](wire::Message&, const std::function<void()>&) {
+    ++offered;
+    return true;
+  });
+  cluster.send(make_reply(0, 1, 7));
+  EXPECT_EQ(offered, 0);
+  m1.set_reply_claim({});
+  const auto env = m1.receive_blocking();
+  ASSERT_TRUE(env.has_value());
+  EXPECT_EQ(env->msg.header.seq, 7u);
+}
+
+TEST(ReplyClaim, ReplyBehindAQueuedMessageQueues) {
+  om::TypeRegistry types;
+  Cluster cluster(2, types, test_cost());
+  Machine& m1 = cluster.machine(1);
+  std::atomic<int> offered{0};
+  m1.set_reply_claim([&](wire::Message&, const std::function<void()>&) {
+    ++offered;
+    return true;
+  });
+  // The receiver takes exactly one message.  When the reply is delivered
+  // it is either still blocked with the call queued ahead of the reply, or
+  // busy with the call: the machine would not take the reply at once.
+  std::optional<Envelope> first;
+  std::thread receiver([&] { first = m1.receive_blocking(); });
+  wait_for_blocked_receiver(m1);
+  cluster.send(make_msg(0, 1));
+  cluster.send(make_reply(0, 1, 9));
+  receiver.join();
+  EXPECT_EQ(offered.load(), 0);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->msg.header.kind, wire::MsgKind::Call);
+  m1.set_reply_claim({});
+  const auto second = m1.receive_blocking();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->msg.header.seq, 9u);
+}
+
+TEST(ReplyClaim, IdleReceiverLetsTheHookTakeAChargedReply) {
+  om::TypeRegistry types;
+  Cluster cluster(2, types, test_cost());
+  Machine& m1 = cluster.machine(1);
+  std::optional<Envelope> woken;
+  std::thread receiver([&] { woken = m1.receive_blocking(); });
+  wait_for_blocked_receiver(m1);
+
+  int offered = 0;
+  std::int64_t clock_at_take = -1;
+  wire::Message taken;
+  m1.set_reply_claim(
+      [&](wire::Message& msg, const std::function<void()>& charge) {
+        ++offered;
+        charge();
+        clock_at_take = m1.clock().now().as_nanos();
+        taken = std::move(msg);
+        return true;
+      });
+  wire::Message reply = make_reply(0, 1, 11);
+  const std::size_t wire_bytes = reply.wire_size();
+  cluster.send(std::move(reply));
+
+  EXPECT_EQ(offered, 1);
+  EXPECT_EQ(taken.header.seq, 11u);
+  EXPECT_EQ(taken.payload.get_string(), "reply body");
+  // Merge to the arrival, then one user-level poll — what receive_blocking
+  // would have charged — before the hook handed the reply on.
+  const std::int64_t arrival =
+      1000 + 10'000 + static_cast<std::int64_t>(2.0 * wire_bytes);
+  EXPECT_EQ(clock_at_take, arrival + 500);
+  EXPECT_EQ(m1.clock().now().as_nanos(), arrival + 500);
+  // The receiver never woke: it is still blocked, and a call still goes
+  // to it through the inbox.
+  EXPECT_EQ(m1.blocked_receivers(), 1u);
+  cluster.send(make_msg(0, 1));
+  receiver.join();
+  ASSERT_TRUE(woken.has_value());
+  EXPECT_EQ(woken->msg.header.kind, wire::MsgKind::Call);
+  EXPECT_EQ(offered, 1);  // calls are never offered
+  m1.set_reply_claim({});
+}
+
+TEST(ReplyClaim, MachineSentACallAfterAReplyStopsOfferingReplies) {
+  om::TypeRegistry types;
+  Cluster cluster(2, types, test_cost());
+  Machine& m1 = cluster.machine(1);
+  std::atomic<int> offered{0};
+  m1.set_reply_claim(
+      [&](wire::Message& msg, const std::function<void()>& charge) {
+        ++offered;
+        charge();
+        const wire::Message taken = std::move(msg);
+        return true;
+      });
+
+  // A call before any reply (a registry's bootstrap binds) leaves the
+  // machine a pure caller: its first reply is offered and claimed.
+  std::optional<Envelope> env;
+  std::thread receiver([&] { env = m1.receive_blocking(); });
+  wait_for_blocked_receiver(m1);
+  cluster.send(make_msg(0, 1));
+  receiver.join();
+  ASSERT_TRUE(env.has_value());
+  EXPECT_EQ(env->msg.header.kind, wire::MsgKind::Call);
+
+  receiver = std::thread([&] { env = m1.receive_blocking(); });
+  wait_for_blocked_receiver(m1);
+  cluster.send(make_reply(0, 1, 21));
+  EXPECT_EQ(offered.load(), 1);
+
+  // A call after that reply: the machine now serves as well, and from
+  // here on a reply queues even for an idle receiver.
+  cluster.send(make_msg(0, 1));
+  receiver.join();
+  ASSERT_TRUE(env.has_value());
+  EXPECT_EQ(env->msg.header.kind, wire::MsgKind::Call);
+  receiver = std::thread([&] { env = m1.receive_blocking(); });
+  wait_for_blocked_receiver(m1);
+  cluster.send(make_reply(0, 1, 23));
+  EXPECT_EQ(offered.load(), 1);
+  if (offered.load() != 1) cluster.send(make_msg(0, 1));  // free the receiver
+  receiver.join();
+  ASSERT_TRUE(env.has_value());
+  EXPECT_EQ(env->msg.header.kind, wire::MsgKind::Return);
+  EXPECT_EQ(env->msg.header.seq, 23u);
+  m1.set_reply_claim({});
+}
+
+TEST(ReplyClaim, DeclinedReplyIsReceivedIntactAndChargedOnce) {
+  om::TypeRegistry types;
+  Cluster cluster(2, types, test_cost());
+  Machine& m1 = cluster.machine(1);
+  std::atomic<int> offered{0};
+  m1.set_reply_claim([&](wire::Message&, const std::function<void()>&) {
+    ++offered;
+    return false;
+  });
+  std::optional<Envelope> env;
+  std::thread receiver([&] { env = m1.receive_blocking(); });
+  wait_for_blocked_receiver(m1);
+  wire::Message reply = make_reply(0, 1, 13);
+  const std::size_t wire_bytes = reply.wire_size();
+  cluster.send(std::move(reply));
+  receiver.join();
+  m1.set_reply_claim({});
+
+  EXPECT_EQ(offered.load(), 1);
+  ASSERT_TRUE(env.has_value());
+  EXPECT_EQ(env->msg.header.kind, wire::MsgKind::Return);
+  EXPECT_EQ(env->msg.header.seq, 13u);
+  EXPECT_EQ(env->msg.payload.get_string(), "reply body");
+  const std::int64_t arrival =
+      1000 + 10'000 + static_cast<std::int64_t>(2.0 * wire_bytes);
+  EXPECT_EQ(env->arrival.as_nanos(), arrival);
+  EXPECT_EQ(m1.clock().now().as_nanos(), arrival + 500);
 }
 
 TEST(NetworkStats, SnapshotsAccumulate) {

@@ -314,6 +314,77 @@ TEST(RmiLifetime, ReturnReuseGraphsAreFreedWithTheSystem) {
   EXPECT_EQ(caller_heap.stats().live_objects(), before);
 }
 
+// A batching session on the reply link holds a deferred Ack back until
+// the next reply flushes it, so one send during a call delivers two
+// replies: the deferred Ack and the call's own.  Machine 0's dispatcher is
+// idle, so both are claimed for their callers, and both callers resume
+// only after the call has freed its argument.
+TEST(RmiClaim, CoalescedRepliesAllWaitForTheCallThatSentThem) {
+  om::TypeRegistry types;
+  const ClassId svc = types.define_class("Svc", {});
+  const ClassId row = types.register_prim_array(TypeKind::Double);
+  const ClassId mat = types.register_ref_array(row);
+  wire::SessionConfig batching;
+  batching.max_batch_messages = 2;  // the second reply flushes the first
+  net::Cluster cluster(2, types, {}, net::TransportKind::Sim, batching);
+  RmiSystem sys(cluster, types);
+  std::mutex mu;
+  std::vector<ReplyToken> waiting;
+  const auto mid = sys.define_method(
+      "barrier", [&](CallContext& ctx, auto, auto) -> HandlerResult {
+        std::scoped_lock lock(mu);
+        waiting.push_back(ctx.reply_token());
+        if (waiting.size() < 2) return HandlerResult{.deferred = true};
+        ctx.system().send_reply(waiting.front(), nullptr);  // queued
+        waiting.clear();
+        return HandlerResult{};
+      });
+  CompiledCallSite cs;
+  cs.method_id = mid;
+  cs.plan = std::make_unique<serial::CallSitePlan>();
+  cs.plan->name = "barrier#0";
+  cs.plan->args.push_back(serial::make_dynamic_node(mat));
+  cs.plan->needs_cycle_table = true;
+  const auto site = sys.add_callsite(std::move(cs));
+  const RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc(svc));
+  om::Heap& h0 = cluster.machine(0).heap();
+  ObjRef small = h0.alloc_array(mat, 1);
+  small->set_elem_ref(0, h0.alloc_array(row, 1));
+  constexpr std::uint32_t kRows = 20'000;  // freeing them takes real time
+  ObjRef big = h0.alloc_array(mat, kRows);
+  for (std::uint32_t r = 0; r < kRows; ++r) {
+    big->set_elem_ref(r, h0.alloc_array(row, 1));
+  }
+  sys.start();
+  while (cluster.machine(0).blocked_receivers() == 0) {
+    std::this_thread::yield();
+  }
+
+  std::int64_t deferred_caller_saw = -1;
+  std::thread first([&] {
+    sys.invoke(0, ref, site, std::array{small});
+    deferred_caller_saw = cluster.machine(1).clock().now().as_nanos();
+  });
+  while (true) {
+    {
+      std::scoped_lock lock(mu);
+      if (!waiting.empty()) break;
+    }
+    std::this_thread::yield();
+  }
+  sys.invoke(0, ref, site, std::array{big});
+  const std::int64_t releasing_caller_saw =
+      cluster.machine(1).clock().now().as_nanos();
+  first.join();
+  sys.stop();
+  const std::int64_t callee_end = cluster.machine(1).clock().now().as_nanos();
+  EXPECT_EQ(deferred_caller_saw, callee_end);
+  EXPECT_EQ(releasing_caller_saw, callee_end);
+  h0.free_graph(small);
+  h0.free_graph(big);
+}
+
 TEST_F(RmiTest, DeferredReplyCompletesLater) {
   // A two-party barrier: first caller's reply is deferred until the second
   // arrives.
@@ -354,6 +425,35 @@ TEST_F(RmiTest, DeferredReplyCompletesLater) {
   sys.invoke(1, ref, site, {});  // local call releases the barrier
   t0.join();
   EXPECT_EQ(done.load(), 1);
+}
+
+TEST_F(RmiTest, ClaimedReplyResumesTheCallerOnlyAfterTheCallEnds) {
+  // The callee frees the argument graph after its Ack has gone out.  The
+  // caller's dispatcher is idle, so the sending thread claims the Ack for
+  // the caller — and holds it until the call ends: by the time invoke
+  // returns, every charge of the call is on the callee's clock.
+  const auto mid = sys.define_method(
+      "noop", [](CallContext&, auto, auto) { return HandlerResult{}; });
+  const auto site = sys.add_callsite(class_site(mid, false, {mat_id}));
+  const RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc(point_id));
+  om::Heap& h0 = cluster.machine(0).heap();
+  constexpr std::uint32_t kRows = 20'000;  // freeing them takes real time
+  ObjRef m = h0.alloc_array(mat_id, kRows);
+  for (std::uint32_t r = 0; r < kRows; ++r) {
+    m->set_elem_ref(r, h0.alloc_array(row_id, 1));
+  }
+  sys.start();
+  while (cluster.machine(0).blocked_receivers() == 0) {
+    std::this_thread::yield();
+  }
+
+  sys.invoke(0, ref, site, std::array{m});
+  const std::int64_t callee_at_return =
+      cluster.machine(1).clock().now().as_nanos();
+  sys.stop();
+  EXPECT_EQ(cluster.machine(1).clock().now().as_nanos(), callee_at_return);
+  h0.free_graph(m);
 }
 
 TEST_F(RmiTest, VirtualTimeAdvancesWithCalls) {
