@@ -188,7 +188,6 @@ RunResult run_superopt(codegen::OptLevel level, const SuperoptConfig& cfg) {
   std::vector<TesterQueue> queues(testers);
   for (auto& q : queues) q.capacity = cfg.queue_capacity;
   std::atomic<std::uint64_t> equivalences{0};
-  std::atomic<std::uint64_t> tested{0};
 
   const auto test_method = sys.define_method(
       "Tester.test", [&](rmi::CallContext& ctx, auto,
@@ -242,7 +241,6 @@ RunResult run_superopt(codegen::OptLevel level, const SuperoptConfig& cfg) {
         }
       }
       if (equal) equivalences.fetch_add(1);
-      tested.fetch_add(1);
       heap.free_graph(obj);  // the queue owned it
     }
   };
@@ -280,8 +278,8 @@ RunResult run_superopt(codegen::OptLevel level, const SuperoptConfig& cfg) {
   };
   enumerate(enumerate, 0);
 
-  // Drain: all candidates tested, then close the queues.
-  while (tested.load() < sent) std::this_thread::yield();
+  // Drain: a closed queue still hands out what it holds, so the testers
+  // finish every queued candidate before they exit.
   for (auto& q : queues) q.close();
   for (auto& t : tester_threads) t.join();
   sys.stop();

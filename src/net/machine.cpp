@@ -14,29 +14,43 @@ bool is_reply(wire::MsgKind kind) {
 void Machine::deliver(wire::Message msg, SimTime arrival) {
   {
     std::scoped_lock lock(mu_);
+    const bool call = msg.header.kind == wire::MsgKind::Call;
     const bool reply = is_reply(msg.header.kind);
     // A call after a reply: the machine calls and serves, and from now on
     // never offers a reply (see machine.hpp).
-    if (msg.header.kind == wire::MsgKind::Call && took_reply_) {
-      serves_too_ = true;
-    }
+    if (call && took_reply_) serves_too_ = true;
     took_reply_ = took_reply_ || reply;
-    // Only a reply the machine would take at once may skip the inbox.
-    // Behind a queued message, or while the receiver is busy, it queues:
-    // a claim then would let it overtake the calls waiting ahead of it.
-    if (reply && claim_ && !serves_too_ && inbox_.empty() &&
-        blocked_receivers_ > 0 && !closed_ &&
-        claim_(msg, [&] { charge_receive(arrival); })) {
+    Envelope env{std::move(msg), arrival};
+    // Only a message the machine would take at once may skip the inbox.
+    // Behind a queued message, or while the receiver (or a claimer) is
+    // busy, it queues: a claim then would let it overtake the messages
+    // waiting ahead of it.
+    const bool idle = claim_ && inbox_.empty() && blocked_receivers_ > 0 &&
+                      !closed_ && !busy_;
+    if (idle && (call || (reply && !serves_too_)) &&
+        claim_(env, [&] { charge_receive(arrival); })) {
+      busy_ = call;
       return;
     }
-    inbox_.push_back(Envelope{std::move(msg), arrival});
+    inbox_.push_back(std::move(env));
   }
   cv_.notify_all();
 }
 
-void Machine::set_reply_claim(ReplyClaim claim) {
+void Machine::set_claim(Claim claim) {
   std::scoped_lock lock(mu_);
   claim_ = std::move(claim);
+}
+
+void Machine::release() {
+  bool wake = false;
+  {
+    std::scoped_lock lock(mu_);
+    busy_ = false;
+    wake = !inbox_.empty() || closed_;
+  }
+  // Waking a receiver with nothing to take would cost a thread handoff.
+  if (wake) cv_.notify_all();
 }
 
 std::size_t Machine::blocked_receivers() const {
@@ -71,9 +85,10 @@ void Machine::add_receive_counters(NetworkStats::Snapshot& s) const {
 
 std::optional<Envelope> Machine::receive_blocking() {
   std::unique_lock lock(mu_);
-  if (inbox_.empty() && !closed_) {
+  const auto ready = [&] { return !busy_ && (!inbox_.empty() || closed_); };
+  if (!ready()) {
     ++blocked_receivers_;
-    cv_.wait(lock, [&] { return !inbox_.empty() || closed_; });
+    cv_.wait(lock, ready);
     --blocked_receivers_;
   }
   if (inbox_.empty()) return std::nullopt;

@@ -8,19 +8,25 @@
 // into the receiver's clock.
 //
 // Who receives.  A message is normally taken by a thread blocked in
-// receive_blocking (the RMI runtime's dispatcher).  A reply can instead go
-// straight to the thread waiting for it, as a Manta thread waiting for a
-// reply polls it off the network itself: when the machine would take the
-// reply at once — its inbox is empty and a receiver is blocked — deliver()
-// offers it to the installed claim hook on the sending thread.  A claimed
-// reply is charged exactly as receive_blocking would charge it and never
-// wakes the blocked receiver; every other message queues as before.
-// A machine that is sent a call after it has taken a reply both calls and
-// serves: its callers and its receiver then advance its one clock
-// concurrently, and the virtual times depend on the order in which the
-// threads happen to run.  A claim would change that order (the caller
-// resumes a thread handoff earlier), so such a machine never offers a
-// reply again: from that call on, its replies always queue.
+// receive_blocking (the RMI runtime's dispatcher).  A message the machine
+// would take at once — its inbox is empty, a receiver is blocked and no
+// claimed call is being served — is first offered to the installed claim
+// hook on the sending thread, as a Manta thread that waits for a message
+// polls it off the network itself.  A claimed message is charged exactly
+// as receive_blocking would charge it and never wakes the blocked
+// receiver.  Two kinds are offered:
+//  * a reply (Return, Ack, Exception or Reject), which the hook hands to
+//    the caller waiting for it.  A machine that is sent a call after it
+//    has taken a reply both calls and serves: its callers and its
+//    receiver then advance its one clock concurrently, and the virtual
+//    times depend on the order in which the threads happen to run.  A
+//    reply claim would change that order (the caller resumes a thread
+//    handoff earlier), so such a machine never offers a reply again;
+//  * a call, which the claiming thread then serves itself.  The machine
+//    is busy from the claim until release(): the receiver takes nothing,
+//    nothing is offered, and every message that arrives queues in order,
+//    exactly as it would behind a receiver busy with that call.
+// Every other message, and every message the hook declines, queues.
 #pragma once
 
 #include <condition_variable>
@@ -68,21 +74,25 @@ class Machine {
   // unless the claim hook takes it (see below).
   void deliver(wire::Message msg, SimTime arrival);
 
-  // Offered a reply (Return, Ack, Exception or Reject) that this machine
-  // would take at once, unless it has been sent a call since it took a
-  // reply (see the top of this file); runs on the sending thread under
-  // the inbox lock.
-  // To decline, it returns false without touching `msg`, which then
-  // queues intact.  To claim, it calls `charge` exactly once — the GM
-  // receive, as receive_blocking would apply it — then takes `msg` and
-  // returns true.  The hook must not call back into this machine's inbox.
-  using ReplyClaim = std::function<bool(wire::Message& msg,
-                                        const std::function<void()>& charge)>;
+  // Offered a message this machine would take at once (see the top of
+  // this file); runs on the sending thread under the inbox lock, so it
+  // may only decide and take.  To decline, it returns false without
+  // touching `env`, which then queues intact.  To claim, it calls `charge`
+  // exactly once — the GM receive, as receive_blocking would apply it —
+  // then takes `env.msg` and returns true; a claimed call leaves the
+  // machine busy until release().  The hook must not call back into this
+  // machine.
+  using Claim =
+      std::function<bool(Envelope& env, const std::function<void()>& charge)>;
   // Installs (or, with an empty hook, removes) the claim hook under the
   // inbox lock: once this returns, deliver() no longer runs the old one.
-  void set_reply_claim(ReplyClaim claim);
+  void set_claim(Claim claim);
 
-  // Threads currently blocked in receive_blocking on an empty inbox.
+  // Ends the busy state a claimed call started, once its claimer has
+  // served it: the blocked receiver then takes what queued meanwhile.
+  void release();
+
+  // Threads currently blocked in receive_blocking with nothing to take.
   std::size_t blocked_receivers() const;
 
   // Receive-side NIC dedup: classifies `link_seq` of a frame arriving
@@ -94,8 +104,9 @@ class Machine {
   wire::DedupWindow::Verdict accept_link_seq(std::uint16_t src,
                                              std::uint64_t link_seq);
 
-  // Blocks until a message is available or the machine is closed.
-  // Applies the GM poll/wakeup cost model to the virtual clock.
+  // Blocks until a message is available, or the machine is closed, and
+  // no claimed call is being served.  Applies the GM poll/wakeup cost
+  // model to the virtual clock.
   std::optional<Envelope> receive_blocking();
 
   // After close(), receive_blocking drains the queue and then returns
@@ -117,7 +128,7 @@ class Machine {
 
   // Applies the GM poll/wakeup cost model for a message that arrives at
   // `arrival` and is taken now.  Both receive paths (receive_blocking and
-  // a claimed reply) call it under mu_.
+  // a claim) call it under mu_.
   void charge_receive(SimTime arrival);
 
   mutable std::mutex mu_;
@@ -126,7 +137,8 @@ class Machine {
   std::unordered_map<std::uint16_t, wire::DedupWindow> dedup_;  // by source
   bool closed_ = false;
   std::size_t blocked_receivers_ = 0;
-  ReplyClaim claim_;
+  Claim claim_;
+  bool busy_ = false;        // a claimed call is being served
   bool took_reply_ = false;  // a reply has arrived here
   bool serves_too_ = false;  // then a call did: replies are never offered
   // Virtual time of the last receive: a host that drained the network

@@ -42,7 +42,11 @@ struct ExecutorConfig {
   // genuinely lost reply — e.g. a callee that crashed after accepting the
   // call — from a hang into an RmiTimeout.  When it fires, the caller
   // also sends a best-effort CancelRequest so the callee can stop
-  // computing a reply nobody will read.
+  // computing a reply nobody will read.  It bounds only a call the
+  // callee's dispatcher serves: a synchronous call its own thread serves
+  // (see the execution model in runtime.hpp) has its reply in hand before
+  // the wait starts, and like the dispatcher's inline worker is bounded
+  // only by its handler.
   std::int64_t call_timeout_ms = 30'000;
 
   // ---- deadlines (virtual-time, disabled by default) ----------------------

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -10,25 +12,46 @@ namespace rmiopt::rmi {
 
 namespace {
 
+// Sets a thread-local for the scope and restores its old value after.
+template <class T>
+class ThreadLocalScope {
+ public:
+  ThreadLocalScope(T& var, T value)
+      : var_(var), saved_(std::exchange(var, value)) {}
+  ~ThreadLocalScope() { var_ = saved_; }
+  ThreadLocalScope(const ThreadLocalScope&) = delete;
+  ThreadLocalScope& operator=(const ThreadLocalScope&) = delete;
+
+ private:
+  T& var_;
+  T saved_;
+};
+
 // The deadline of the call whose handler this thread is currently
 // running (0 = none).  Nested invokes issued from inside a handler read
 // it to inherit the remaining budget; it is set strictly around handler
 // execution, so app threads and idle workers always see 0.
 thread_local std::int64_t t_ambient_deadline_ns = 0;
 
-class AmbientDeadlineScope {
- public:
-  explicit AmbientDeadlineScope(std::int64_t deadline_ns)
-      : saved_(t_ambient_deadline_ns) {
-    t_ambient_deadline_ns = deadline_ns;
-  }
-  ~AmbientDeadlineScope() { t_ambient_deadline_ns = saved_; }
-  AmbientDeadlineScope(const AmbientDeadlineScope&) = delete;
-  AmbientDeadlineScope& operator=(const AmbientDeadlineScope&) = delete;
-
- private:
-  std::int64_t saved_;
+// The machine whose messages this thread is dispatching (RmiSystem::
+// dispatch): set on a dispatcher thread, and on a calling thread while it
+// serves the call it claimed.  `sys` is null outside dispatch().
+struct Dispatching {
+  const RmiSystem* sys = nullptr;
+  std::uint16_t machine = 0;
 };
+thread_local Dispatching t_dispatching;
+
+// The synchronous call this thread is sending and may serve itself.  Set
+// only around that call's send; the claim hook moves the call, charged,
+// into `taken` when the callee would take it at once.
+struct CallClaim {
+  const RmiSystem* sys = nullptr;
+  std::uint16_t callee = 0;
+  std::uint32_t seq = 0;
+  std::optional<net::Envelope> taken;
+};
+thread_local CallClaim* t_call_claim = nullptr;
 
 // Scatter-gather send (CostModel::zero_copy_send): serialize into a
 // gather list so inline primitive-array rows ride as borrowed segments.
@@ -183,9 +206,11 @@ void RmiSystem::start() {
   }
   for (std::size_t i = 0; i < contexts_.size(); ++i) {
     const auto id = static_cast<std::uint16_t>(i);
-    cluster_.machine(id).set_reply_claim(
-        [this, id](wire::Message& msg, const std::function<void()>& charge) {
-          return claim_reply(id, msg, charge);
+    cluster_.machine(id).set_claim(
+        [this, id](net::Envelope& env, const std::function<void()>& charge) {
+          return env.msg.header.kind == wire::MsgKind::Call
+                     ? claim_call(id, env, charge)
+                     : claim_reply(id, env.msg, charge);
         });
     contexts_[i]->dispatcher = std::thread([this, id] { dispatch_loop(id); });
   }
@@ -193,10 +218,10 @@ void RmiSystem::start() {
 
 void RmiSystem::stop() {
   if (!started_) return;
-  // From here every reply queues for the dispatchers, and no machine can
-  // call into this object after it is gone.
+  // From here every message queues for the dispatchers, and no machine
+  // can call into this object after it is gone.
   for (std::size_t i = 0; i < contexts_.size(); ++i) {
-    cluster_.machine(i).set_reply_claim({});
+    cluster_.machine(i).set_claim({});
   }
   cluster_.shutdown();
   for (auto& ctx : contexts_) {
@@ -229,7 +254,9 @@ void RmiSystem::free_reuse_caches(bool ret_side) {
       for (auto& [site, slot] : ret_side ? ctx.ret_cache : ctx.arg_cache) {
         std::scoped_lock slot_lock(slot->mu);
         for (om::ObjRef o : slot->cached) om::collect_graph(o, graphs);
+        for (om::ObjRef o : slot->displaced) om::collect_graph(o, graphs);
         slot->cached.clear();
+        slot->displaced.clear();
       }
     }
     om::Heap& heap = cluster_.machine(static_cast<std::uint16_t>(id)).heap();
@@ -529,6 +556,31 @@ bool RmiSystem::claim_reply(std::uint16_t machine_id, wire::Message& msg,
   return true;
 }
 
+bool RmiSystem::claim_call(std::uint16_t machine_id, net::Envelope& env,
+                           const std::function<void()>& charge) {
+  CallClaim* const claim = t_call_claim;
+  if (claim == nullptr || claim->sys != this || claim->callee != machine_id ||
+      claim->seq != env.msg.header.seq) {
+    return false;  // another thread's call, or one left to the dispatcher
+  }
+  charge();
+  claim->taken = std::move(env);
+  return true;
+}
+
+bool RmiSystem::sole_caller() {
+  if (many_callers_.load()) return false;
+  const std::thread::id self = std::this_thread::get_id();
+  std::thread::id first = first_caller_.load();
+  if (first == std::thread::id{} &&
+      first_caller_.compare_exchange_strong(first, self)) {
+    return true;
+  }
+  if (first == self) return true;
+  many_callers_.store(true);
+  return false;
+}
+
 void RmiSystem::fail_pending_to(std::uint16_t machine) {
   for (auto& ctxp : contexts_) {
     std::vector<std::promise<PendingReply>> victims;
@@ -649,9 +701,11 @@ om::ObjRef RmiSystem::invoke(std::uint16_t caller, RemoteRef target,
                              std::span<const om::ObjRef> args,
                              std::span<const std::int64_t> scalars,
                              const CallOptions& opts) {
-  // The one code path: synchronous RMI is an async send consumed at once.
-  return invoke_async(caller, target, callsite_id, args, scalars, opts)
-      .get();
+  // The one code path: synchronous RMI is an async send consumed at once,
+  // which its sending thread may serve itself (send_call).
+  auto st = std::make_shared<AsyncCallState>();
+  issue(*st, CallKind::Sync, caller, target, callsite_id, args, scalars, opts);
+  return RmiFuture(std::move(st)).get();
 }
 
 RmiFuture RmiSystem::invoke_async(std::uint16_t caller, RemoteRef target,
@@ -660,7 +714,7 @@ RmiFuture RmiSystem::invoke_async(std::uint16_t caller, RemoteRef target,
                                   std::span<const std::int64_t> scalars,
                                   const CallOptions& opts) {
   auto st = std::make_shared<AsyncCallState>();
-  issue(*st, caller, target, callsite_id, /*oneway=*/false, args, scalars,
+  issue(*st, CallKind::Async, caller, target, callsite_id, args, scalars,
         opts);
   return RmiFuture(std::move(st));
 }
@@ -671,13 +725,14 @@ void RmiSystem::invoke_oneway(std::uint16_t caller, RemoteRef target,
                               std::span<const std::int64_t> scalars,
                               const CallOptions& opts) {
   AsyncCallState st;
-  issue(st, caller, target, callsite_id, /*oneway=*/true, args, scalars, opts);
+  issue(st, CallKind::Oneway, caller, target, callsite_id, args, scalars,
+        opts);
   if (st.local_error) std::rethrow_exception(st.local_error);
 }
 
-void RmiSystem::issue(AsyncCallState& st, std::uint16_t caller,
+void RmiSystem::issue(AsyncCallState& st, CallKind kind, std::uint16_t caller,
                       RemoteRef target, std::uint32_t callsite_id,
-                      bool oneway, std::span<const om::ObjRef> args,
+                      std::span<const om::ObjRef> args,
                       std::span<const std::int64_t> scalars,
                       const CallOptions& opts) {
   const CompiledCallSite& site = callsite(callsite_id);
@@ -688,8 +743,15 @@ void RmiSystem::issue(AsyncCallState& st, std::uint16_t caller,
   st.target = target;
   st.callsite_id = callsite_id;
   st.seq = next_seq_.fetch_add(1);
+  const bool oneway = kind == CallKind::Oneway;
   st.oneway = oneway;
   st.is_local = target.machine == caller;
+  // A synchronous call from the sole calling thread, issued outside any
+  // dispatch, may be served by this thread (send_call).  Every call counts
+  // towards sole_caller(), so it is asked first.
+  const bool may_serve = sole_caller() && kind == CallKind::Sync &&
+                         exec_cfg_.dispatch_workers == 1 &&
+                         t_dispatching.sys == nullptr;
   MachineContext& cctx = *contexts_.at(caller);
   net::Machine& m = cluster_.machine(caller);
 
@@ -714,7 +776,7 @@ void RmiSystem::issue(AsyncCallState& st, std::uint16_t caller,
   charge_stub(caller, site, args.size(), scalars.size());
 
   if (!st.is_local) {
-    send_call(st, marshal(st, site, args, scalars, deadline));
+    send_call(st, may_serve, marshal(st, site, args, scalars, deadline));
     return;
   }
   // A same-machine call replaces marshal and send with clone + run
@@ -815,9 +877,32 @@ wire::Message RmiSystem::marshal(AsyncCallState& st,
   return msg;
 }
 
-void RmiSystem::send_call(AsyncCallState& st, wire::Message msg) {
+void RmiSystem::send_call(AsyncCallState& st, bool may_serve,
+                          wire::Message msg) {
+  CallClaim claim{.sys = this, .callee = st.target.machine, .seq = st.seq};
+  std::exception_ptr failure;
+  {
+    const ThreadLocalScope<CallClaim*> window(t_call_claim,
+                                              may_serve ? &claim : nullptr);
+    try {
+      cluster_.send(std::move(msg));
+    } catch (...) {
+      failure = std::current_exception();
+    }
+  }
+  if (claim.taken) {
+    // This thread claimed the call as it was delivered: serve it as the
+    // callee's dispatcher would — also when the send failed after the
+    // delivery — and release the callee whatever the handler does.
+    struct Release {
+      net::Machine& m;
+      ~Release() { m.release(); }
+    } release{cluster_.machine(st.target.machine)};
+    dispatch(st.target.machine, std::move(*claim.taken));
+  }
+  if (failure == nullptr) return;
   try {
-    cluster_.send(std::move(msg));
+    std::rethrow_exception(failure);
   } catch (const MachineDeadError& e) {
     // The failure detector already confirmed the endpoint dead: fail the
     // call immediately with the typed form instead of waiting out the ARQ
@@ -846,13 +931,15 @@ om::ObjRef RmiSystem::finish_call(AsyncCallState& st) {
   net::Machine& m = cluster_.machine(caller);
 
   // Nested-invoke deadlock guard: with a single dispatch worker, a handler
-  // that performs a synchronous remote invoke from the dispatcher thread
-  // waits for a reply only that same thread could process.  Before this
-  // check the call hung until the retransmit budget drained (or forever on
-  // a fault-free link).  Fail fast with a typed, recoverable error instead
-  // — unless the reply is somehow already in hand.
+  // that performs a synchronous remote invoke while its thread acts as the
+  // calling machine's dispatcher (the dispatcher thread, or a thread
+  // serving a claimed call there) waits for a reply only that same thread
+  // could process.  Before this check the call hung until the retransmit
+  // budget drained (or forever on a fault-free link).  Fail fast with a
+  // typed, recoverable error instead — unless the reply is somehow already
+  // in hand.
   if (!st.is_local && exec_cfg_.dispatch_workers == 1 &&
-      std::this_thread::get_id() == cctx.dispatcher.get_id() &&
+      t_dispatching.sys == this && t_dispatching.machine == caller &&
       st.fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
     erase_pending(cctx, seq);
     note(Occurrence::CallTimeout, caller, callsite_id, seq);
@@ -892,10 +979,22 @@ om::ObjRef RmiSystem::finish_call(AsyncCallState& st) {
         std::scoped_lock lock(slot.mu);
         cached = slot.cached[0];
         slot.cached[0] = nullptr;  // multithreading guard (Fig. 13)
+        // The slot's graph is out with another caller: recycle a past
+        // value of this site that a concurrent caller displaced instead.
+        if (cached == nullptr && !slot.displaced.empty()) {
+          cached = slot.displaced.back();
+          slot.displaced.pop_back();
+        }
       }
       value = r.read_reusing(rep.msg.payload, *plan.ret, cached);
       {
         std::scoped_lock lock(slot.mu);
+        // A concurrent caller of this site put its value back meanwhile:
+        // it may still hold that graph, so the slot keeps it for the next
+        // caller that finds the slot empty.
+        if (slot.cached[0] != nullptr) {
+          slot.displaced.push_back(slot.cached[0]);
+        }
         slot.cached[0] = value;
       }
     } else {
@@ -1006,114 +1105,121 @@ void RmiSystem::answer(const ReplyToken& token, wire::MsgKind kind,
 
 void RmiSystem::dispatch_loop(std::uint16_t machine_id) {
   net::Machine& m = cluster_.machine(machine_id);
-  MachineContext& ctx = *contexts_.at(machine_id);
   while (auto env = m.receive_blocking()) {
-    const wire::MessageHeader h = env->msg.header;
-    if (h.kind == wire::MsgKind::Call) {
-      const bool oneway = (h.flags & wire::kFlagOneway) != 0;
-      // At-most-once: a duplicate of a call already executing is dropped;
-      // a duplicate of a call already answered gets the cached reply
-      // re-sent verbatim (the handler never runs twice).  A duplicate of
-      // a oneway call is dropped too — its completion marker is never a
-      // real reply.
-      const std::uint64_t key = call_key(h.source_machine, h.seq);
-      wire::Message replay;
-      const CallAdmission admission = admit_call(machine_id, ctx, key, &replay);
-      if (admission == CallAdmission::InProgress ||
-          (admission == CallAdmission::Replied && oneway)) {
-        note(Occurrence::DuplicateDropped, machine_id, h.callsite_id, h.seq);
-        continue;
-      }
-      if (admission == CallAdmission::Replied) {
-        note(Occurrence::ReplyReplayed, machine_id, h.callsite_id, h.seq);
-        try {
-          cluster_.send(std::move(replay));
-        } catch (const ProtocolError&) {
-          note(Occurrence::UndeliverableReply, machine_id, h.callsite_id,
-               h.seq);
-        }
-        continue;
-      }
-      const ReplyToken token{h.callsite_id, h.seq, h.source_machine,
-                             machine_id, oneway};
-      if (h.callsite_id >= callsites_.size()) {
-        // Externally-derived index: answer with a typed remote exception
-        // instead of bringing the callee down.
-        send_exception(token, "unknown call site " +
-                                  std::to_string(h.callsite_id));
-        continue;
-      }
-      // Deadline gate: refuse to even *decode* a call whose deadline has
-      // passed — the caller already timed out, so every cycle spent here
-      // is wasted.  The Reject is cached as the call's tombstone.
-      if (h.deadline_ns != 0 &&
-          m.clock().now().as_nanos() >= h.deadline_ns) {
-        note(Occurrence::DeadlineReject, machine_id, h.callsite_id, h.seq);
-        answer(token, wire::MsgKind::Reject, nullptr, false,
-               "deadline expired before dispatch at " +
-                   site_desc(h.callsite_id),
-               wire::RejectCode::DeadlineExceeded);
-        continue;
-      }
-      // Deserialize on the dispatcher (the unmarshaler lock discipline of
-      // §4), then hand the handler to the executor — inline with one
-      // worker, concurrent with a pool.
-      std::shared_ptr<DecodedCall> call;
+    dispatch(machine_id, std::move(*env));
+  }
+}
+
+void RmiSystem::dispatch(std::uint16_t machine_id, net::Envelope env) {
+  const ThreadLocalScope<Dispatching> acting(t_dispatching,
+                                             {this, machine_id});
+  net::Machine& m = cluster_.machine(machine_id);
+  MachineContext& ctx = *contexts_.at(machine_id);
+  const wire::MessageHeader h = env.msg.header;
+  if (h.kind == wire::MsgKind::Call) {
+    const bool oneway = (h.flags & wire::kFlagOneway) != 0;
+    // At-most-once: a duplicate of a call already executing is dropped;
+    // a duplicate of a call already answered gets the cached reply
+    // re-sent verbatim (the handler never runs twice).  A duplicate of
+    // a oneway call is dropped too — its completion marker is never a
+    // real reply.
+    const std::uint64_t key = call_key(h.source_machine, h.seq);
+    wire::Message replay;
+    const CallAdmission admission = admit_call(machine_id, ctx, key, &replay);
+    if (admission == CallAdmission::InProgress ||
+        (admission == CallAdmission::Replied && oneway)) {
+      note(Occurrence::DuplicateDropped, machine_id, h.callsite_id, h.seq);
+      return;
+    }
+    if (admission == CallAdmission::Replied) {
+      note(Occurrence::ReplyReplayed, machine_id, h.callsite_id, h.seq);
       try {
-        call = std::make_shared<DecodedCall>(
-            decode_call(machine_id, std::move(*env)));
-      } catch (const Error& e) {
-        // A call whose payload does not match its plan (possible only
-        // from hand-crafted or damaged-but-checksum-colliding input) is
-        // answered exceptionally, not fatally.
-        send_exception(token, std::string("undecodable call: ") + e.what());
-        continue;
+        cluster_.send(std::move(replay));
+      } catch (const ProtocolError&) {
+        note(Occurrence::UndeliverableReply, machine_id, h.callsite_id,
+             h.seq);
       }
-      // Register the cancellation flag before the handler is queued.  The
-      // per-link FIFO means a CancelRequest for this call can only be
-      // processed after this point, so the lookup below never misses a
-      // cancellable call.
-      call->cancel = std::make_shared<CancelToken>();
-      {
-        std::scoped_lock lock(ctx.cancel_mu);
-        ctx.cancel_tokens[key] = call->cancel;
-      }
-      ctx.executor->execute([this, machine_id, call] {
-        execute_call(machine_id, *call, call->scalars);
-      });
-      continue;
+      return;
     }
-    if (h.kind == wire::MsgKind::Cancel) {
-      // Best-effort cancellation: flag the call if it is still here.  A
-      // miss means the call already completed (or was never admitted) —
-      // the cancel simply lost the race.
-      std::shared_ptr<CancelToken> tok;
-      {
-        std::scoped_lock lock(ctx.cancel_mu);
-        auto it = ctx.cancel_tokens.find(call_key(h.source_machine, h.seq));
-        if (it != ctx.cancel_tokens.end()) tok = it->second;
-      }
-      if (tok) tok->request();
-      continue;
+    const ReplyToken token{h.callsite_id, h.seq, h.source_machine,
+                           machine_id, oneway};
+    if (h.callsite_id >= callsites_.size()) {
+      // Externally-derived index: answer with a typed remote exception
+      // instead of bringing the callee down.
+      send_exception(token, "unknown call site " +
+                                std::to_string(h.callsite_id));
+      return;
     }
-    if (h.kind == wire::MsgKind::Heartbeat) {
-      // Defensive: detector probes never become messages (the detector
-      // rolls them in place), but a hand-crafted frame could carry the
-      // kind.  Swallow it rather than misread it as a reply.
-      continue;
+    // Deadline gate: refuse to even *decode* a call whose deadline has
+    // passed — the caller already timed out, so every cycle spent here
+    // is wasted.  The Reject is cached as the call's tombstone.
+    if (h.deadline_ns != 0 &&
+        m.clock().now().as_nanos() >= h.deadline_ns) {
+      note(Occurrence::DeadlineReject, machine_id, h.callsite_id, h.seq);
+      answer(token, wire::MsgKind::Reject, nullptr, false,
+             "deadline expired before dispatch at " +
+                 site_desc(h.callsite_id),
+             wire::RejectCode::DeadlineExceeded);
+      return;
     }
-    // A reply: wake the caller blocked on this sequence number.  A reply
-    // nobody is waiting for (stray duplicate, or the caller already timed
-    // out) is dropped and counted, never fatal.
-    PendingReply rep;
-    rep.is_local = false;
-    const std::uint32_t seq = h.seq;
-    rep.msg = std::move(env->msg);
-    if (try_fulfill_pending(ctx, seq, std::move(rep))) {
-      note(Occurrence::ReplyDeliver, machine_id, h.callsite_id, seq);
-    } else {
-      note(Occurrence::StrayReply, machine_id, h.callsite_id, seq);
+    // Deserialize while dispatching (the unmarshaler lock discipline of
+    // §4), then hand the handler to the executor — inline with one
+    // worker, concurrent with a pool.
+    std::shared_ptr<DecodedCall> call;
+    try {
+      call = std::make_shared<DecodedCall>(
+          decode_call(machine_id, std::move(env)));
+    } catch (const Error& e) {
+      // A call whose payload does not match its plan (possible only
+      // from hand-crafted or damaged-but-checksum-colliding input) is
+      // answered exceptionally, not fatally.
+      send_exception(token, std::string("undecodable call: ") + e.what());
+      return;
     }
+    // Register the cancellation flag before the handler is queued.  The
+    // per-link FIFO means a CancelRequest for this call can only be
+    // processed after this point, so the lookup below never misses a
+    // cancellable call.
+    call->cancel = std::make_shared<CancelToken>();
+    {
+      std::scoped_lock lock(ctx.cancel_mu);
+      ctx.cancel_tokens[key] = call->cancel;
+    }
+    ctx.executor->execute([this, machine_id, call] {
+      execute_call(machine_id, *call, call->scalars);
+    });
+    return;
+  }
+  if (h.kind == wire::MsgKind::Cancel) {
+    // Best-effort cancellation: flag the call if it is still here.  A
+    // miss means the call already completed (or was never admitted) —
+    // the cancel simply lost the race.
+    std::shared_ptr<CancelToken> tok;
+    {
+      std::scoped_lock lock(ctx.cancel_mu);
+      auto it = ctx.cancel_tokens.find(call_key(h.source_machine, h.seq));
+      if (it != ctx.cancel_tokens.end()) tok = it->second;
+    }
+    if (tok) tok->request();
+    return;
+  }
+  if (h.kind == wire::MsgKind::Heartbeat) {
+    // Defensive: detector probes never become messages (the detector
+    // rolls them in place), but a hand-crafted frame could carry the
+    // kind.  Swallow it rather than misread it as a reply.
+    return;
+  }
+  // A reply: wake the caller blocked on this sequence number.  A reply
+  // nobody is waiting for (stray duplicate, or the caller already timed
+  // out) is dropped and counted, never fatal.
+  PendingReply rep;
+  rep.is_local = false;
+  const std::uint32_t seq = h.seq;
+  rep.msg = std::move(env.msg);
+  if (try_fulfill_pending(ctx, seq, std::move(rep))) {
+    note(Occurrence::ReplyDeliver, machine_id, h.callsite_id, seq);
+  } else {
+    note(Occurrence::StrayReply, machine_id, h.callsite_id, seq);
   }
 }
 
@@ -1226,7 +1332,8 @@ void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall& call,
                      call.cancel.get());
       // Nested invokes inherit the remaining budget via the ambient
       // deadline (minus ExecutorConfig::deadline_slack_ns per hop).
-      AmbientDeadlineScope scope(call.deadline_ns);
+      const ThreadLocalScope<std::int64_t> scope(t_ambient_deadline_ns,
+                                                 call.deadline_ns);
       res = methods_[site.method_id].second(cc, scalars, call.args);
       if (res.is_exception) kind = wire::MsgKind::Exception;
     } catch (const DeadlineExceeded& e) {
@@ -1285,8 +1392,20 @@ void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall& call,
   if (call.slot != nullptr) {
     RMIOPT_CHECK(!res.args_consumed,
                  "reuse_args call site must not consume its arguments");
-    std::scoped_lock lock(call.slot->mu);
-    call.slot->cached = call.args;  // retain for the next invocation (§3.3)
+    {
+      // Retain for the next invocation (§3.3): the slot takes this call's
+      // graphs, and call.args what the slot held — all null unless another
+      // execution of this site (dispatch_workers >= 2) put its arguments
+      // back meanwhile.  Nothing holds those any more: they are freed now.
+      std::scoped_lock lock(call.slot->mu);
+      call.slot->cached.swap(call.args);
+    }
+    if (std::any_of(call.args.begin(), call.args.end(),
+                    [](om::ObjRef o) { return o != nullptr; })) {
+      serial::SerialStats freep;
+      free_graphs(m.heap(), call.args, freep);
+      account(machine_id, call.callsite_id, freep);
+    }
   } else if (!res.args_consumed) {
     serial::SerialStats freep;
     free_graphs(m.heap(), call.args, freep);

@@ -4,6 +4,21 @@
 // Execution model (mirrors Manta-JavaParty, §5):
 //  * every machine runs one dispatcher thread that drains its inbox —
 //    "at any time only one thread can drain the network";
+//  * a synchronous invoke goes straight to an idle callee while every
+//    call this system has issued came from one host thread: when the
+//    callee would take the call at once (inbox empty, dispatcher blocked
+//    in receive_blocking, one dispatch worker) the calling thread claims
+//    it as it is delivered (claim_call, net/machine.hpp) and, once the
+//    send returns, serves it itself through dispatch(), the one routine
+//    the dispatcher runs for every message, while the callee machine is
+//    busy.  Which host thread runs a machine's dispatch is a detail of
+//    the simulator: with one calling thread each clock is charged in the
+//    same order either way.  Its reply is in hand before the caller
+//    starts to wait, so the real-time backstop (ExecutorConfig::
+//    call_timeout_ms) does not bound it: like the dispatcher's inline
+//    worker, it is bounded only by its handler.  Several calling threads,
+//    invoke_async, invoke_oneway, nested invokes and dispatch_workers >= 2
+//    keep the dispatcher;
 //  * a reply goes straight to the caller waiting for it when its machine
 //    would take the reply at once (inbox empty, dispatcher blocked in
 //    receive_blocking) and serves no calls besides (net/machine.hpp):
@@ -13,11 +28,12 @@
 //    the call when that thread is answering one, so the call's last
 //    charges (its argument frees) precede the caller's next step.  Any
 //    other reply queues and the dispatcher fulfils it, so a reply never
-//    overtakes the calls queued ahead of it;
-//  * incoming Call messages are deserialized by the dispatcher (the paper
-//    holds the unmarshaler lock until the user's code starts), then the
-//    user handler runs through the machine's DispatchExecutor: inline on
-//    the dispatcher with the default single worker (the paper's model),
+//    overtakes the calls queued ahead of it.  A claimed call's reply
+//    comes back this way, so such a call wakes no other thread;
+//  * incoming Call messages are deserialized by whoever dispatches them
+//    (the paper holds the unmarshaler lock until the user's code starts),
+//    then the user handler runs through the machine's DispatchExecutor:
+//    inline with the default single worker (the paper's model),
 //    concurrently on a pool with ExecutorConfig::dispatch_workers >= 2;
 //  * handlers may *defer* their reply (blocking semantics, e.g. a barrier)
 //    and reply later via send_reply() from any thread;
@@ -150,13 +166,15 @@ class Cancelled : public Error {
   explicit Cancelled(const std::string& what) : Error(what) {}
 };
 
-// A handler running inline on its machine's only dispatcher thread
-// (ExecutorConfig::dispatch_workers == 1, the paper's model) blocked on a
-// nested synchronous remote invoke.  The reply can only be dispatched by
-// the very thread that is blocked waiting for it (a busy dispatcher is
-// not blocked in receive_blocking, so the reply is never claimed for the
-// caller either), so without this check the call would hang until the
-// 30 s real-time backstop.  Recoverable: the nested call is failed
+// A handler running inline as its machine's only dispatcher
+// (ExecutorConfig::dispatch_workers == 1, the paper's model) — on the
+// dispatcher thread, or on the calling thread that claimed its call —
+// blocked on a nested synchronous remote invoke.  The reply can only be
+// dispatched by the very thread that is blocked waiting for it (a busy
+// dispatcher is not blocked in receive_blocking, and a machine serving a
+// claimed call is busy, so the reply is never claimed for the caller
+// either), so without this check the call would hang until the 30 s
+// real-time backstop.  Recoverable: the nested call is failed
 // *before* the wait, the handler can catch it (or surface it to its own
 // caller as a RemoteException), and the system keeps running.  The sizing
 // rule: nested synchronous RMI requires dispatch_workers >= 2 on the
@@ -308,14 +326,16 @@ class RmiSystem {
   RemoteRef export_object(std::uint16_t machine, om::ObjRef obj);
 
   // Spawns one dispatcher thread per machine and installs each machine's
-  // reply claim hook.
+  // claim hook (calls and replies).
   void start();
   // Removes the claim hooks, then drains and joins the dispatchers.
   void stop();
 
   // ---- invocation ----------------------------------------------------------
-  // Synchronous RMI from `caller` to `target` — a thin wrapper over
-  // invoke_async(...).get(), so there is exactly one code path.  Returns
+  // Synchronous RMI from `caller` to `target` — the stages of
+  // invoke_async(...).get(), so there is exactly one code path; only the
+  // thread that serves the call may differ (the execution model above).
+  // Returns
   // the deserialized return value: caller-owned, EXCEPT at reuse_ret call
   // sites where the runtime retains ownership, recycles the graph on the
   // next call through the site and frees it in ~RmiSystem (not in stop(),
@@ -404,10 +424,15 @@ class RmiSystem {
     // One cached graph per object argument (or one entry for the return
     // value).  nullptr while in use by another thread — the Figure 13
     // "temp_arr = null" guard.  Under concurrent executions of the same
-    // call site the late finisher's graph wins the slot; the loser's graph
-    // stays live with its caller (bounded by the thread count), exactly
-    // like the paper's per-site static under its unmarshaler lock.
+    // call site the late finisher's graph wins the slot, like the paper's
+    // per-site static under its unmarshaler lock.  On the callee nothing
+    // holds the graph it displaces any more, so it is freed at once.  A
+    // caller may still hold a displaced return value, so it is kept in
+    // `displaced` and recycled, like the slot's graph, by the next caller
+    // that finds the slot taken: a site never has more return graphs
+    // than concurrent callers.  ~RmiSystem frees what is left.
     std::vector<om::ObjRef> cached;
+    std::vector<om::ObjRef> displaced;
   };
 
   // Callee-side at-most-once record of one remote call: in progress until
@@ -475,11 +500,14 @@ class RmiSystem {
   };
 
   // ---- the caller-side pipeline -------------------------------------------
+  // A synchronous call may be served by its own sending thread (send_call);
+  // an async or oneway call is always left to the callee's dispatcher.
+  enum class CallKind : std::uint8_t { Sync, Async, Oneway };
   // Runs every stage a call kind does not skip, in order; `st` carries the
   // call from the first stage to its result.  A same-machine call runs
   // inline and leaves its outcome in `st` (the returned future is ready).
-  void issue(AsyncCallState& st, std::uint16_t caller, RemoteRef target,
-             std::uint32_t callsite_id, bool oneway,
+  void issue(AsyncCallState& st, CallKind kind, std::uint16_t caller,
+             RemoteRef target, std::uint32_t callsite_id,
              std::span<const om::ObjRef> args,
              std::span<const std::int64_t> scalars, const CallOptions& opts);
   // Gate: a call whose deadline has already passed fails fast, typed,
@@ -494,8 +522,11 @@ class RmiSystem {
                         std::span<const std::int64_t> scalars,
                         std::int64_t deadline);
   // Send: hands the Call to the cluster, mapping MachineDeadError and
-  // ProtocolError to the typed MachineDown / RmiTimeout.
-  void send_call(AsyncCallState& st, wire::Message msg);
+  // ProtocolError to the typed MachineDown / RmiTimeout.  A synchronous
+  // call from the sole calling thread may be claimed as it is delivered;
+  // it is then served here, after the send returns (or throws), and the
+  // callee machine released.
+  void send_call(AsyncCallState& st, bool may_serve, wire::Message msg);
   // Await + unmarshal (RmiFuture::get, or inline for a local call).
   om::ObjRef finish_call(AsyncCallState& st);
   // Blocks until the reply arrives.  With a failure detector attached the
@@ -512,8 +543,14 @@ class RmiSystem {
 
   // ---- the callee side ---------------------------------------------------
   void dispatch_loop(std::uint16_t machine_id);
-  // Dispatcher side: deserialize the call while "holding the network"
-  // (the unmarshaler-lock discipline of §4).
+  // One received message, on the dispatcher or on the thread that claimed
+  // the call: at-most-once admission, the deadline gate, decode and the
+  // handler for a Call; the cancel flag for a Cancel; the caller's promise
+  // for a reply.  The thread acts as the machine's dispatcher meanwhile
+  // (the NestedInvokeDeadlock guard).
+  void dispatch(std::uint16_t machine_id, net::Envelope env);
+  // Deserialize the call while "holding the network" (the unmarshaler-
+  // lock discipline of §4).
   DecodedCall decode_call(std::uint16_t machine_id, net::Envelope env);
   // The one place a user handler runs — on the executor for a remote call,
   // inline for a local one: cancel/deadline polls (remote only), export
@@ -569,14 +606,24 @@ class RmiSystem {
   // stray, never a write to a consumed promise.
   bool try_fulfill_pending(MachineContext& ctx, std::uint32_t seq,
                            PendingReply reply);
-  // Machine `machine_id`'s claim hook (net::Machine::ReplyClaim), run on
-  // the reply's sending thread under the inbox lock.  Under pending_mu it
-  // declines a reply with no live slot (the dispatcher then counts the
-  // stray), or charges the receive, notes ReplyDeliver, takes the slot
-  // and fulfils the caller's promise — or, while the sending thread is
-  // finishing a call, holds it (held_replies_).
+  // Machine `machine_id`'s claim hook (net::Machine::Claim) for a reply,
+  // run on the reply's sending thread under the inbox lock.  Under
+  // pending_mu it declines a reply with no live slot (the dispatcher then
+  // counts the stray), or charges the receive, notes ReplyDeliver, takes
+  // the slot and fulfils the caller's promise — or, while the sending
+  // thread is finishing a call, holds it (held_replies_).
   bool claim_reply(std::uint16_t machine_id, wire::Message& msg,
                    const std::function<void()>& charge);
+  // The same hook for a call: takes it, charged, only when it is the
+  // synchronous call this thread is sending and may serve (send_call).
+  // It runs under the session and inbox locks, so it only takes.
+  bool claim_call(std::uint16_t machine_id, net::Envelope& env,
+                  const std::function<void()>& charge);
+  // Notes that the current thread issues a call.  False once calls have
+  // come from more than one host thread: from then on no call is claimed,
+  // since with several calling threads the order in which they charge the
+  // shared clocks is the host's, and a claim would move it.
+  bool sole_caller();
   // A reply claimed while its sending thread finishes the call it answers
   // (execute_call, from the reply on): the call's own reply, and any
   // queued replies a batching session flushes with it.  The callers are
@@ -657,6 +704,10 @@ class RmiSystem {
   std::vector<std::pair<std::string, Handler>> methods_;
   std::vector<CompiledCallSite> callsites_;
   std::atomic<std::uint32_t> next_seq_{1};
+  // The host thread that issued the first call, and whether another has
+  // called since (sole_caller).
+  std::atomic<std::thread::id> first_caller_{};
+  std::atomic<bool> many_callers_{false};
   bool started_ = false;
 };
 

@@ -4,13 +4,29 @@
 // (blocked) thread could process.  The call used to hang forever on a
 // healthy link.  The runtime now detects the re-entrant wait at the
 // executor boundary and fails fast with the typed, recoverable
-// NestedInvokeDeadlock error naming the sizing rule.
+// NestedInvokeDeadlock error naming the sizing rule.  The same holds when
+// the outer call is served by the thread that sent it (a sole caller's
+// invoke to an idle machine): that thread then acts as the dispatcher.
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "rmi/runtime.hpp"
 
 namespace rmiopt::rmi {
 namespace {
+
+// The outer call, served either by the calling thread (`claimed`: a sole
+// caller's invoke to an idle machine) or by the callee's dispatcher
+// (invoke_async(...).get() is never served by its caller).
+om::ObjRef call_outer(RmiSystem& sys, bool claimed, RemoteRef ref,
+                      std::uint32_t site) {
+  while (sys.cluster().machine(ref.machine).blocked_receivers() == 0) {
+    std::this_thread::yield();
+  }
+  return claimed ? sys.invoke(0, ref, site, {})
+                 : sys.invoke_async(0, ref, site, {}).get();
+}
 
 CompiledCallSite empty_site(std::uint32_t method) {
   CompiledCallSite cs;
@@ -26,6 +42,7 @@ TEST(NestedDeadlock, SingleWorkerNestedInvokeFailsFastWithTheRule) {
   RmiSystem sys(cluster, types, ExecutorConfig{/*dispatch_workers=*/1});
 
   std::string caught;
+  std::thread::id served_on;
   const auto leaf_mid = sys.define_method(
       "leaf", [](CallContext&, auto, auto) {
         return HandlerResult{};
@@ -35,7 +52,8 @@ TEST(NestedDeadlock, SingleWorkerNestedInvokeFailsFastWithTheRule) {
   RemoteRef leaf_ref;
   const auto nested_mid = sys.define_method(
       "nested", [&](CallContext&, auto, auto) -> HandlerResult {
-        // Machine 1's dispatcher thread performs a synchronous invoke to
+        served_on = std::this_thread::get_id();
+        // Machine 1's dispatcher performs a synchronous invoke to
         // machine 2 — the re-entrant wait the guard must refuse.
         try {
           (void)sys.invoke(1, leaf_ref, leaf_site, {});
@@ -53,21 +71,26 @@ TEST(NestedDeadlock, SingleWorkerNestedInvokeFailsFastWithTheRule) {
   leaf_ref = sys.export_object(2, cluster.machine(2).heap().alloc(svc));
   sys.start();
 
-  // The outer caller sees the handler's failure as a RemoteException —
-  // promptly, not after a retransmit budget or a wall-clock eternity.
-  try {
-    (void)sys.invoke(0, nested_ref, nested_site, {});
-    FAIL() << "nested invoke did not fail";
-  } catch (const RemoteException& e) {
-    EXPECT_NE(std::string(e.what()).find("dispatch_workers"),
-              std::string::npos);
-  }
+  for (const bool claimed : {true, false}) {
+    SCOPED_TRACE(claimed ? "claimed by the caller" : "dispatched");
+    caught.clear();
+    // The outer caller sees the handler's failure as a RemoteException —
+    // promptly, not after a retransmit budget or a wall-clock eternity.
+    try {
+      (void)call_outer(sys, claimed, nested_ref, nested_site);
+      FAIL() << "nested invoke did not fail";
+    } catch (const RemoteException& e) {
+      EXPECT_NE(std::string(e.what()).find("dispatch_workers"),
+                std::string::npos);
+    }
+    EXPECT_EQ(served_on == std::this_thread::get_id(), claimed);
 
-  // The handler-side error is the typed class and names the rule and the
-  // escape hatches.
-  EXPECT_NE(caught.find("would deadlock"), std::string::npos);
-  EXPECT_NE(caught.find("dispatch_workers >= 2"), std::string::npos);
-  EXPECT_NE(caught.find("invoke_oneway"), std::string::npos);
+    // The handler-side error is the typed class and names the rule and
+    // the escape hatches.
+    EXPECT_NE(caught.find("would deadlock"), std::string::npos);
+    EXPECT_NE(caught.find("dispatch_workers >= 2"), std::string::npos);
+    EXPECT_NE(caught.find("invoke_oneway"), std::string::npos);
+  }
 
   sys.stop();
 }
@@ -84,8 +107,10 @@ TEST(NestedDeadlock, HandlerCanCatchAndRecover) {
   const auto leaf_site = sys.add_callsite(empty_site(leaf_mid));
 
   RemoteRef leaf_ref;
+  std::thread::id served_on;
   const auto nested_mid = sys.define_method(
       "nested", [&](CallContext&, auto, auto) {
+        served_on = std::this_thread::get_id();
         // Recoverable by contract: the handler catches the typed error,
         // degrades gracefully, and still produces its own reply.
         try {
@@ -103,8 +128,12 @@ TEST(NestedDeadlock, HandlerCanCatchAndRecover) {
   leaf_ref = sys.export_object(2, cluster.machine(2).heap().alloc(svc));
   sys.start();
 
-  // No throw: the handler recovered and the call completes normally.
-  EXPECT_EQ(sys.invoke(0, nested_ref, nested_site, {}), nullptr);
+  for (const bool claimed : {true, false}) {
+    SCOPED_TRACE(claimed ? "claimed by the caller" : "dispatched");
+    // No throw: the handler recovered and the call completes normally.
+    EXPECT_EQ(call_outer(sys, claimed, nested_ref, nested_site), nullptr);
+    EXPECT_EQ(served_on == std::this_thread::get_id(), claimed);
+  }
 
   sys.stop();
 }

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "net/cluster.hpp"
 #include "serial/stats.hpp"
@@ -205,7 +206,7 @@ TEST(Cluster, NetworkStatsCountTraffic) {
   EXPECT_EQ(s.coalesced, 0u);
 }
 
-// ---- the reply claim hook ---------------------------------------------------
+// ---- the claim hook: replies ------------------------------------------------
 
 wire::Message make_reply(std::uint16_t from, std::uint16_t to,
                          std::uint32_t seq) {
@@ -225,18 +226,27 @@ void wait_for_blocked_receiver(const Machine& m) {
   ASSERT_EQ(m.blocked_receivers(), 1u);
 }
 
+// A claim hook that declines every call and offers replies to `take`.
+template <class F>
+Machine::Claim reply_claim(F take) {
+  return [take](Envelope& env, const std::function<void()>& charge) mutable {
+    return env.msg.header.kind != wire::MsgKind::Call &&
+           take(env.msg, charge);
+  };
+}
+
 TEST(ReplyClaim, ReplyQueuesWhenNoReceiverWaits) {
   om::TypeRegistry types;
   Cluster cluster(2, types, test_cost());
   Machine& m1 = cluster.machine(1);
   int offered = 0;
-  m1.set_reply_claim([&](wire::Message&, const std::function<void()>&) {
+  m1.set_claim(reply_claim([&](wire::Message&, const std::function<void()>&) {
     ++offered;
     return true;
-  });
+  }));
   cluster.send(make_reply(0, 1, 7));
   EXPECT_EQ(offered, 0);
-  m1.set_reply_claim({});
+  m1.set_claim({});
   const auto env = m1.receive_blocking();
   ASSERT_TRUE(env.has_value());
   EXPECT_EQ(env->msg.header.seq, 7u);
@@ -247,10 +257,10 @@ TEST(ReplyClaim, ReplyBehindAQueuedMessageQueues) {
   Cluster cluster(2, types, test_cost());
   Machine& m1 = cluster.machine(1);
   std::atomic<int> offered{0};
-  m1.set_reply_claim([&](wire::Message&, const std::function<void()>&) {
+  m1.set_claim(reply_claim([&](wire::Message&, const std::function<void()>&) {
     ++offered;
     return true;
-  });
+  }));
   // The receiver takes exactly one message.  When the reply is delivered
   // it is either still blocked with the call queued ahead of the reply, or
   // busy with the call: the machine would not take the reply at once.
@@ -263,7 +273,7 @@ TEST(ReplyClaim, ReplyBehindAQueuedMessageQueues) {
   EXPECT_EQ(offered.load(), 0);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->msg.header.kind, wire::MsgKind::Call);
-  m1.set_reply_claim({});
+  m1.set_claim({});
   const auto second = m1.receive_blocking();
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->msg.header.seq, 9u);
@@ -280,14 +290,14 @@ TEST(ReplyClaim, IdleReceiverLetsTheHookTakeAChargedReply) {
   int offered = 0;
   std::int64_t clock_at_take = -1;
   wire::Message taken;
-  m1.set_reply_claim(
+  m1.set_claim(reply_claim(
       [&](wire::Message& msg, const std::function<void()>& charge) {
         ++offered;
         charge();
         clock_at_take = m1.clock().now().as_nanos();
         taken = std::move(msg);
         return true;
-      });
+      }));
   wire::Message reply = make_reply(0, 1, 11);
   const std::size_t wire_bytes = reply.wire_size();
   cluster.send(std::move(reply));
@@ -308,8 +318,8 @@ TEST(ReplyClaim, IdleReceiverLetsTheHookTakeAChargedReply) {
   receiver.join();
   ASSERT_TRUE(woken.has_value());
   EXPECT_EQ(woken->msg.header.kind, wire::MsgKind::Call);
-  EXPECT_EQ(offered, 1);  // calls are never offered
-  m1.set_reply_claim({});
+  EXPECT_EQ(offered, 1);  // the hook declines calls
+  m1.set_claim({});
 }
 
 TEST(ReplyClaim, MachineSentACallAfterAReplyStopsOfferingReplies) {
@@ -317,13 +327,13 @@ TEST(ReplyClaim, MachineSentACallAfterAReplyStopsOfferingReplies) {
   Cluster cluster(2, types, test_cost());
   Machine& m1 = cluster.machine(1);
   std::atomic<int> offered{0};
-  m1.set_reply_claim(
+  m1.set_claim(reply_claim(
       [&](wire::Message& msg, const std::function<void()>& charge) {
         ++offered;
         charge();
         const wire::Message taken = std::move(msg);
         return true;
-      });
+      }));
 
   // A call before any reply (a registry's bootstrap binds) leaves the
   // machine a pure caller: its first reply is offered and claimed.
@@ -355,7 +365,7 @@ TEST(ReplyClaim, MachineSentACallAfterAReplyStopsOfferingReplies) {
   ASSERT_TRUE(env.has_value());
   EXPECT_EQ(env->msg.header.kind, wire::MsgKind::Return);
   EXPECT_EQ(env->msg.header.seq, 23u);
-  m1.set_reply_claim({});
+  m1.set_claim({});
 }
 
 TEST(ReplyClaim, DeclinedReplyIsReceivedIntactAndChargedOnce) {
@@ -363,10 +373,10 @@ TEST(ReplyClaim, DeclinedReplyIsReceivedIntactAndChargedOnce) {
   Cluster cluster(2, types, test_cost());
   Machine& m1 = cluster.machine(1);
   std::atomic<int> offered{0};
-  m1.set_reply_claim([&](wire::Message&, const std::function<void()>&) {
+  m1.set_claim(reply_claim([&](wire::Message&, const std::function<void()>&) {
     ++offered;
     return false;
-  });
+  }));
   std::optional<Envelope> env;
   std::thread receiver([&] { env = m1.receive_blocking(); });
   wait_for_blocked_receiver(m1);
@@ -374,7 +384,7 @@ TEST(ReplyClaim, DeclinedReplyIsReceivedIntactAndChargedOnce) {
   const std::size_t wire_bytes = reply.wire_size();
   cluster.send(std::move(reply));
   receiver.join();
-  m1.set_reply_claim({});
+  m1.set_claim({});
 
   EXPECT_EQ(offered.load(), 1);
   ASSERT_TRUE(env.has_value());
@@ -385,6 +395,174 @@ TEST(ReplyClaim, DeclinedReplyIsReceivedIntactAndChargedOnce) {
       1000 + 10'000 + static_cast<std::int64_t>(2.0 * wire_bytes);
   EXPECT_EQ(env->arrival.as_nanos(), arrival);
   EXPECT_EQ(m1.clock().now().as_nanos(), arrival + 500);
+}
+
+// ---- the claim hook: calls --------------------------------------------------
+
+wire::Message make_call(std::uint16_t from, std::uint16_t to,
+                        std::uint32_t seq) {
+  wire::Message m = make_msg(from, to, 8);
+  m.header.seq = seq;
+  return m;
+}
+
+// A claim hook that takes every call it is offered, charged, into
+// `taken`, and declines replies.
+struct CallTaker {
+  Machine& m;
+  std::atomic<int> offered{0};
+  std::vector<std::uint32_t> taken;
+  std::int64_t clock_at_take = -1;
+
+  Machine::Claim hook() {
+    return [this](Envelope& env, const std::function<void()>& charge) {
+      if (env.msg.header.kind != wire::MsgKind::Call) return false;
+      ++offered;
+      charge();
+      clock_at_take = m.clock().now().as_nanos();
+      taken.push_back(env.msg.header.seq);
+      const wire::Message gone = std::move(env.msg);
+      return true;
+    };
+  }
+};
+
+TEST(CallClaim, CallToAnIdleMachineIsOfferedAndChargedBeforeTheHookReturns) {
+  om::TypeRegistry types;
+  Cluster cluster(2, types, test_cost());
+  Machine& m1 = cluster.machine(1);
+  std::optional<Envelope> woken;
+  std::thread receiver([&] { woken = m1.receive_blocking(); });
+  wait_for_blocked_receiver(m1);
+  CallTaker taker{m1};
+  m1.set_claim(taker.hook());
+
+  wire::Message call = make_call(0, 1, 31);
+  const std::size_t wire_bytes = call.wire_size();
+  cluster.send(std::move(call));
+  EXPECT_EQ(taker.offered.load(), 1);
+  ASSERT_EQ(taker.taken.size(), 1u);
+  EXPECT_EQ(taker.taken[0], 31u);
+  // Merge to the arrival, then one user-level poll, inside the hook.
+  const std::int64_t arrival =
+      1000 + 10'000 + static_cast<std::int64_t>(2.0 * wire_bytes);
+  EXPECT_EQ(taker.clock_at_take, arrival + 500);
+  EXPECT_EQ(m1.clock().now().as_nanos(), arrival + 500);
+  // The receiver never woke.  After the release the machine is idle
+  // again: the next call is offered too.
+  EXPECT_EQ(m1.blocked_receivers(), 1u);
+  m1.release();
+  cluster.send(make_call(0, 1, 32));
+  EXPECT_EQ(taker.offered.load(), 2);
+  m1.release();
+  m1.set_claim({});
+  cluster.send(make_call(0, 1, 33));
+  receiver.join();
+  ASSERT_TRUE(woken.has_value());
+  EXPECT_EQ(woken->msg.header.seq, 33u);
+}
+
+TEST(CallClaim, MessagesDeliveredWhileAClaimedCallIsServedQueueUntilRelease) {
+  om::TypeRegistry types;
+  Cluster cluster(2, types, test_cost());
+  Machine& m1 = cluster.machine(1);
+  std::atomic<bool> returned{false};
+  std::optional<Envelope> woken;
+  std::thread receiver([&] {
+    woken = m1.receive_blocking();
+    returned = true;
+  });
+  wait_for_blocked_receiver(m1);
+  CallTaker taker{m1};
+  m1.set_claim(taker.hook());
+
+  cluster.send(make_call(0, 1, 41));
+  ASSERT_EQ(taker.offered.load(), 1);
+  const std::int64_t claimed_at = m1.clock().now().as_nanos();
+  // Serving the claimed call takes 50 µs of the callee's time.  Meanwhile
+  // a second call and a reply arrive: neither is offered, both queue, and
+  // the blocked receiver takes nothing.
+  m1.clock().advance(SimTime::nanos(50'000));
+  cluster.send(make_call(0, 1, 42));
+  cluster.send(make_reply(0, 1, 43));
+  EXPECT_EQ(taker.offered.load(), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  EXPECT_EQ(m1.blocked_receivers(), 1u);
+  EXPECT_EQ(m1.clock().now().as_nanos(), claimed_at + 50'000);
+
+  m1.release();
+  receiver.join();
+  ASSERT_TRUE(woken.has_value());
+  EXPECT_EQ(woken->msg.header.seq, 42u);
+  // As receive_blocking charges it: the call sat pending for 49.5 µs
+  // (it left machine 0 one send overhead after the first) while the host
+  // had not touched the network for 50 µs, both past the 20 µs
+  // threshold, so the kernel poll thread wakes.
+  EXPECT_EQ(woken->arrival.as_nanos(), claimed_at - 500 + 1000);
+  EXPECT_EQ(m1.clock().now().as_nanos(), claimed_at + 50'000 + 20'000);
+  const auto reply = m1.receive_blocking();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->msg.header.seq, 43u);
+  EXPECT_EQ(taker.offered.load(), 1);
+  m1.set_claim({});
+}
+
+TEST(CallClaim, CallBehindAQueuedMessageIsNotOffered) {
+  om::TypeRegistry types;
+  Cluster cluster(2, types, test_cost());
+  Machine& m1 = cluster.machine(1);
+  std::atomic<int> offered_first{0}, offered_second{0};
+  m1.set_claim([&](Envelope& env, const std::function<void()>&) {
+    ++(env.msg.header.seq == 51 ? offered_first : offered_second);
+    return false;
+  });
+  // The receiver takes exactly one message.  When the second call is
+  // delivered it is either still blocked with the first queued ahead, or
+  // gone: the machine would not take the second call at once.
+  std::optional<Envelope> first;
+  std::thread receiver([&] { first = m1.receive_blocking(); });
+  wait_for_blocked_receiver(m1);
+  cluster.send(make_call(0, 1, 51));
+  cluster.send(make_call(0, 1, 52));
+  receiver.join();
+  EXPECT_EQ(offered_first.load(), 1);
+  EXPECT_EQ(offered_second.load(), 0);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->msg.header.seq, 51u);
+  m1.set_claim({});
+  const auto second = m1.receive_blocking();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->msg.header.seq, 52u);
+}
+
+TEST(CallClaim, MachineClosedWhileBusyIsOfferedNothingAndDrainsAfterRelease) {
+  om::TypeRegistry types;
+  Cluster cluster(2, types, test_cost());
+  Machine& m1 = cluster.machine(1);
+  std::vector<std::uint32_t> received;
+  std::thread receiver([&] {
+    while (const auto env = m1.receive_blocking()) {
+      received.push_back(env->msg.header.seq);
+    }
+  });
+  wait_for_blocked_receiver(m1);
+  CallTaker taker{m1};
+  m1.set_claim(taker.hook());
+  cluster.send(make_call(0, 1, 61));
+  ASSERT_EQ(taker.offered.load(), 1);
+  // Closed while busy: the receiver neither returns nor drains yet, and
+  // a call that arrives is not offered.
+  m1.close();
+  cluster.send(make_call(0, 1, 62));
+  EXPECT_EQ(taker.offered.load(), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(m1.blocked_receivers(), 1u);
+  m1.release();
+  receiver.join();
+  EXPECT_EQ(received, std::vector<std::uint32_t>{62});
+  EXPECT_EQ(taker.offered.load(), 1);
+  m1.set_claim({});
 }
 
 TEST(NetworkStats, SnapshotsAccumulate) {

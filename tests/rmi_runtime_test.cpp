@@ -3,6 +3,9 @@
 // statistics, and virtual-time accounting.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "rmi/runtime.hpp"
 
 namespace rmiopt::rmi {
@@ -11,6 +14,12 @@ namespace {
 using om::ClassId;
 using om::ObjRef;
 using om::TypeKind;
+
+// Real-time wait until `m`'s dispatcher is parked in receive_blocking, so
+// the next call to it would be taken at once.
+void wait_idle(const net::Machine& m) {
+  while (m.blocked_receivers() == 0) std::this_thread::yield();
+}
 
 class RmiTest : public ::testing::Test {
  protected:
@@ -314,6 +323,108 @@ TEST(RmiLifetime, ReturnReuseGraphsAreFreedWithTheSystem) {
   EXPECT_EQ(caller_heap.stats().live_objects(), before);
 }
 
+// Concurrent callers of one reuse_ret site: a caller puts its value back
+// into the slot while another caller's value sits there.  The displaced
+// graph may still be held by its caller, so it must stay live — recycled
+// by a later caller that finds the slot taken, so the site never holds
+// more return graphs than it has callers — and be freed, not leaked, when
+// the system is gone.  A pooled callee answers the callers together, and
+// a 513-object reply takes the caller longer to read into its cached
+// graph than the callee to write.
+TEST(RmiLifetime, ConcurrentReturnReuseLeavesNoGraphBehind) {
+  om::TypeRegistry types;
+  const ClassId row = types.register_prim_array(TypeKind::Double);
+  const ClassId mat = types.register_ref_array(row);
+  const ClassId svc = types.define_class("Svc", {});
+  net::Cluster cluster(2, types);
+  om::Heap& caller_heap = cluster.machine(0).heap();
+  const std::uint64_t before = caller_heap.stats().live_objects();
+  {
+    RmiSystem sys(cluster, types, ExecutorConfig{/*dispatch_workers=*/4});
+    om::Heap& callee_heap = cluster.machine(1).heap();
+    constexpr std::uint32_t kRows = 512;
+    const ObjRef table = callee_heap.alloc_array(mat, kRows);
+    for (std::uint32_t r = 0; r < kRows; ++r) {
+      table->set_elem_ref(r, callee_heap.alloc_array(row, 1));
+    }
+    const auto mid = sys.define_method(
+        "get", [&](CallContext&, auto, auto) {
+          return HandlerResult{.value = table};
+        });
+    CompiledCallSite cs;
+    cs.method_id = mid;
+    cs.plan = std::make_unique<serial::CallSitePlan>();
+    cs.plan->name = "get#0";
+    cs.plan->ret = std::make_unique<serial::NodePlan>();
+    cs.plan->ret->expected_class = mat;
+    cs.plan->ret->elem_plan = std::make_unique<serial::NodePlan>();
+    cs.plan->ret->elem_plan->expected_class = row;
+    cs.plan->needs_cycle_table = false;
+    cs.plan->reuse_ret = true;
+    const auto site = sys.add_callsite(std::move(cs));
+    const RemoteRef ref = sys.export_object(1, callee_heap.alloc(svc));
+    sys.start();
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 4; ++t) {
+      callers.emplace_back([&] {
+        for (int i = 0; i < 250; ++i) (void)sys.invoke(0, ref, site, {});
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    EXPECT_LE(caller_heap.stats().live_objects() - before,
+              callers.size() * (kRows + 1));
+    sys.stop();
+  }
+  EXPECT_EQ(caller_heap.stats().live_objects(), before);
+}
+
+// Concurrent executions of one reuse_args site on a pooled callee: an
+// execution puts its arguments back while another's sit in the slot.
+// Nothing holds the displaced graph, so it is freed at once.
+TEST(RmiLifetime, ConcurrentArgumentReuseLeavesNoGraphBehind) {
+  om::TypeRegistry types;
+  const ClassId row = types.register_prim_array(TypeKind::Double);
+  const ClassId svc = types.define_class("Svc", {});
+  net::Cluster cluster(2, types);
+  om::Heap& callee_heap = cluster.machine(1).heap();
+  const ObjRef target = callee_heap.alloc(svc);
+  const std::uint64_t before = callee_heap.stats().live_objects();
+  {
+    RmiSystem sys(cluster, types, ExecutorConfig{/*dispatch_workers=*/4});
+    const auto mid = sys.define_method(
+        "put", [](CallContext&, auto, auto) {
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+          return HandlerResult{};
+        });
+    CompiledCallSite cs;
+    cs.method_id = mid;
+    cs.plan = std::make_unique<serial::CallSitePlan>();
+    cs.plan->name = "put#0";
+    cs.plan->args.push_back(std::make_unique<serial::NodePlan>());
+    cs.plan->args[0]->expected_class = row;
+    cs.plan->needs_cycle_table = false;
+    cs.plan->reuse_args = true;
+    const auto site = sys.add_callsite(std::move(cs));
+    const RemoteRef ref = sys.export_object(1, target);
+    sys.start();
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 4; ++t) {
+      callers.emplace_back([&] {
+        om::Heap& heap = cluster.machine(0).heap();
+        const ObjRef arg = heap.alloc_array(row, 16);
+        for (int i = 0; i < 200; ++i) {
+          (void)sys.invoke(0, ref, site, std::array{arg});
+        }
+        heap.free(arg);
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    sys.stop();
+  }
+  EXPECT_EQ(callee_heap.stats().live_objects(), before);
+  callee_heap.free(target);
+}
+
 // A batching session on the reply link holds a deferred Ack back until
 // the next reply flushes it, so one send during a call delivers two
 // replies: the deferred Ack and the call's own.  Machine 0's dispatcher is
@@ -598,6 +709,228 @@ TEST_F(RmiTest, ConcurrentCallersFromOneMachineAreMatchedBySeq) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(sys.stats(0).remote_rpcs,
             static_cast<std::uint64_t>(kThreads * kCalls));
+}
+
+// ---- calls served by the calling thread -------------------------------------
+
+TEST_F(RmiTest, SoleCallersInvokeRunsTheHandlerOnTheCallingThread) {
+  std::vector<std::thread::id> ran_on;
+  const auto mid = sys.define_method(
+      "echo", [&](CallContext& ctx, std::span<const std::int64_t> s, auto) {
+        ran_on.push_back(std::this_thread::get_id());
+        ObjRef p = make_point(ctx.heap(), static_cast<double>(s[0]), 0);
+        return HandlerResult{.value = p, .give_ownership = true};
+      });
+  const auto site = sys.add_callsite(class_site(mid, true, {}));
+  const RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc(point_id));
+  sys.start();
+  wait_idle(cluster.machine(1));
+  for (std::int64_t i = 0; i < 3; ++i) {
+    const ObjRef r =
+        sys.invoke(0, ref, site, {}, std::array<std::int64_t, 1>{i});
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->get<double>(types.get(point_id).fields[0]),
+              static_cast<double>(i));
+    cluster.machine(0).heap().free(r);
+  }
+  ASSERT_EQ(ran_on.size(), 3u);
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  // The callee's dispatcher never woke.
+  EXPECT_EQ(cluster.machine(1).blocked_receivers(), 1u);
+  EXPECT_EQ(sys.stats(0).remote_rpcs, 3u);
+}
+
+TEST_F(RmiTest, InvokeAsyncLeavesTheCallToTheDispatcher) {
+  std::thread::id ran_on;
+  const auto mid = sys.define_method("noop", [&](CallContext&, auto, auto) {
+    ran_on = std::this_thread::get_id();
+    return HandlerResult{};
+  });
+  const auto site = sys.add_callsite(class_site(mid, false, {}));
+  const RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc(point_id));
+  sys.start();
+  wait_idle(cluster.machine(1));
+  EXPECT_EQ(sys.invoke_async(0, ref, site, {}).get(), nullptr);
+  EXPECT_NE(ran_on, std::thread::id{});
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+}
+
+TEST_F(RmiTest, OnewayCallIsLeftToTheDispatcher) {
+  std::atomic<bool> ran{false};
+  std::thread::id ran_on;
+  const auto mid = sys.define_method("fire", [&](CallContext&, auto, auto) {
+    ran_on = std::this_thread::get_id();
+    ran = true;
+    return HandlerResult{};
+  });
+  const auto site = sys.add_callsite(class_site(mid, false, {}));
+  const RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc(point_id));
+  sys.start();
+  wait_idle(cluster.machine(1));
+  sys.invoke_oneway(0, ref, site, {});
+  while (!ran.load()) std::this_thread::yield();
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+}
+
+TEST(RmiClaim, PooledCalleeRunsTheHandlerOnItsWorkers) {
+  om::TypeRegistry types;
+  const ClassId svc = types.define_class("Svc", {});
+  net::Cluster cluster(2, types);
+  RmiSystem sys(cluster, types, ExecutorConfig{/*dispatch_workers=*/2});
+  std::thread::id ran_on;
+  const auto mid = sys.define_method("noop", [&](CallContext&, auto, auto) {
+    ran_on = std::this_thread::get_id();
+    return HandlerResult{};
+  });
+  CompiledCallSite cs;
+  cs.method_id = mid;
+  cs.plan = std::make_unique<serial::CallSitePlan>();
+  cs.plan->name = "noop#0";
+  const auto site = sys.add_callsite(std::move(cs));
+  const RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc(svc));
+  sys.start();
+  wait_idle(cluster.machine(1));
+  EXPECT_EQ(sys.invoke(0, ref, site, {}), nullptr);
+  EXPECT_NE(ran_on, std::thread::id{});
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+  sys.stop();
+}
+
+TEST_F(RmiTest, SecondCallingThreadEndsServingOnTheCaller) {
+  std::vector<std::thread::id> ran_on;
+  const auto mid = sys.define_method("noop", [&](CallContext&, auto, auto) {
+    ran_on.push_back(std::this_thread::get_id());
+    return HandlerResult{};
+  });
+  const auto site = sys.add_callsite(class_site(mid, false, {}));
+  const RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc(point_id));
+  sys.start();
+  const std::thread::id self = std::this_thread::get_id();
+  wait_idle(cluster.machine(1));
+  sys.invoke(0, ref, site, {});
+  std::thread::id other;
+  std::thread second([&] {
+    other = std::this_thread::get_id();
+    wait_idle(cluster.machine(1));
+    sys.invoke(0, ref, site, {});
+  });
+  second.join();
+  for (int i = 0; i < 2; ++i) {
+    wait_idle(cluster.machine(1));
+    sys.invoke(0, ref, site, {});
+  }
+  ASSERT_EQ(ran_on.size(), 4u);
+  EXPECT_EQ(ran_on[0], self);
+  // From the second thread's first call on, every call is dispatched.
+  for (std::size_t i = 1; i < ran_on.size(); ++i) {
+    EXPECT_NE(ran_on[i], self) << "call " << i;
+    EXPECT_NE(ran_on[i], other) << "call " << i;
+  }
+}
+
+TEST_F(RmiTest, ClaimedCallWhoseHandlerThrowsStillReleasesTheCallee) {
+  std::vector<std::thread::id> ran_on;
+  bool fail = true;
+  const auto mid = sys.define_method(
+      "flaky", [&](CallContext&, auto, auto) -> HandlerResult {
+        ran_on.push_back(std::this_thread::get_id());
+        if (std::exchange(fail, false)) throw Error("flaky handler");
+        return HandlerResult{};
+      });
+  const auto site = sys.add_callsite(class_site(mid, false, {}));
+  const RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc(point_id));
+  sys.start();
+  wait_idle(cluster.machine(1));
+  EXPECT_THROW(sys.invoke(0, ref, site, {}), RemoteException);
+  EXPECT_EQ(sys.invoke(0, ref, site, {}), nullptr);
+  ASSERT_EQ(ran_on.size(), 2u);
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  EXPECT_EQ(ran_on[1], std::this_thread::get_id());
+}
+
+// The real-time backstop (ExecutorConfig::call_timeout_ms) bounds the wait
+// for a reply the callee's dispatcher sends.  A call the calling thread
+// serves itself has no such wait: like a handler on the dispatcher, it is
+// bounded only by its handler.
+TEST(RmiClaim, BackstopBoundsOnlyACallLeftToTheDispatcher) {
+  om::TypeRegistry types;
+  const ClassId svc = types.define_class("Svc", {});
+  net::Cluster cluster(2, types);
+  ExecutorConfig cfg;
+  cfg.call_timeout_ms = 50;
+  RmiSystem sys(cluster, types, cfg);
+  std::vector<std::thread::id> ran_on;
+  const auto mid = sys.define_method("slow", [&](CallContext&, auto, auto) {
+    ran_on.push_back(std::this_thread::get_id());
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    return HandlerResult{};
+  });
+  CompiledCallSite cs;
+  cs.method_id = mid;
+  cs.plan = std::make_unique<serial::CallSitePlan>();
+  cs.plan->name = "slow#0";
+  const auto site = sys.add_callsite(std::move(cs));
+  const RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc(svc));
+  sys.start();
+  wait_idle(cluster.machine(1));
+  EXPECT_EQ(sys.invoke(0, ref, site, {}), nullptr);
+  wait_idle(cluster.machine(1));
+  EXPECT_THROW(sys.invoke_async(0, ref, site, {}).get(), RmiTimeout);
+  sys.stop();
+  ASSERT_EQ(ran_on.size(), 2u);
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  EXPECT_NE(ran_on[1], std::this_thread::get_id());
+}
+
+// The call frame reaches the callee, is claimed, and then the send fails:
+// the link duplicates every call frame, and the transport's frame probe
+// throws on the duplicate's submission.  The calling thread still serves
+// the delivered call and releases the callee.
+TEST(RmiClaim, ClaimedCallWhoseSendThrowsAfterDeliveryStillReleasesTheCallee) {
+  om::TypeRegistry types;
+  const ClassId svc = types.define_class("Svc", {});
+  net::FaultPlan plan;
+  plan.set_link(0, 1, {.duplicate = 1.0});
+  net::Cluster cluster(2, types, {}, net::TransportKind::Sim, {}, plan);
+  RmiSystem sys(cluster, types);
+  std::vector<std::thread::id> ran_on;
+  const auto mid = sys.define_method("noop", [&](CallContext&, auto, auto) {
+    ran_on.push_back(std::this_thread::get_id());
+    return HandlerResult{};
+  });
+  CompiledCallSite cs;
+  cs.method_id = mid;
+  cs.plan = std::make_unique<serial::CallSitePlan>();
+  cs.plan->name = "noop#0";
+  const auto site = sys.add_callsite(std::move(cs));
+  const RemoteRef ref =
+      sys.export_object(1, cluster.machine(1).heap().alloc(svc));
+  int call_frames = 0;
+  cluster.transport().set_frame_probe(
+      [&](std::uint16_t src, std::uint16_t, const wire::Frame&) {
+        if (src == 0 && ++call_frames == 2) {
+          throw Error("link failed after delivering the call");
+        }
+      });
+  sys.start();
+  wait_idle(cluster.machine(1));
+  EXPECT_THROW(sys.invoke(0, ref, site, {}), Error);
+  ASSERT_EQ(ran_on.size(), 1u);
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  EXPECT_EQ(sys.invoke(0, ref, site, {}), nullptr);
+  ASSERT_EQ(ran_on.size(), 2u);
+  EXPECT_EQ(ran_on[1], std::this_thread::get_id());
+  sys.stop();
+  cluster.transport().set_frame_probe(nullptr);
 }
 
 }  // namespace
