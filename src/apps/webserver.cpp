@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -50,13 +51,16 @@ RunResult run_webserver(codegen::OptLevel level, const WebserverConfig& cfg) {
   std::vector<Slave> slave_state(cfg.machines);  // index by machine id
   std::atomic<std::uint64_t> misses{0};
 
+  // Byte i of page p is 'a' + (p + i) % 26: the window of one repeating
+  // alphabet string that starts at p % 26.
+  std::string alphabet(cfg.page_size + 26, '\0');
+  for (std::size_t i = 0; i < alphabet.size(); ++i) {
+    alphabet[i] = static_cast<char>('a' + i % 26);
+  }
   for (std::size_t s = 1; s < cfg.machines; ++s) {
     om::Heap& heap = cluster.machine(s).heap();
     for (std::size_t p = 0; p < cfg.pages; ++p) {
-      std::string body(cfg.page_size, '\0');
-      for (std::size_t i = 0; i < body.size(); ++i) {
-        body[i] = static_cast<char>('a' + (p + i) % 26);
-      }
+      const std::string_view body(alphabet.data() + p % 26, cfg.page_size);
       slave_state[s].table.emplace(url_for(p), heap.alloc_string(body));
     }
   }

@@ -96,9 +96,19 @@ class ByteBuffer {
   void put_bytes(const void* data, std::size_t len) {
     if (len == 0) return;  // empty spans may carry data() == nullptr
     RMIOPT_CHECK(!is_view(), "write into ByteBuffer view");
-    const std::size_t old = bytes_.size();
-    bytes_.resize(old + len);
-    std::memcpy(bytes_.data() + old, data, len);
+    // insert, not resize + memcpy: the new bytes are not zero-filled first.
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
+    bytes_.insert(bytes_.end(), bytes, bytes + len);
+  }
+
+  // Overwrites the four bytes at `pos` (already written) with `v`, as put
+  // would have written them: how a field whose value depends on the bytes
+  // after it, such as a frame checksum, is filled in place.
+  void patch_u32(std::size_t pos, std::uint32_t v) {
+    RMIOPT_CHECK(!is_view(), "write into ByteBuffer view");
+    RMIOPT_CHECK(pos <= bytes_.size() && bytes_.size() - pos >= sizeof v,
+                 "ByteBuffer patch out of range");
+    std::memcpy(bytes_.data() + pos, &v, sizeof v);
   }
 
   void put_string(std::string_view s) {

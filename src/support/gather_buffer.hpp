@@ -78,9 +78,8 @@ class GatherBuffer {
   void put_bytes(const void* data, std::size_t len) {
     if (len == 0) return;  // empty spans may carry data() == nullptr
     auto& chunk = owned_tail();
-    const std::size_t old = chunk.size();
-    chunk.resize(old + len);
-    std::memcpy(chunk.data() + old, data, len);
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
+    chunk.insert(chunk.end(), bytes, bytes + len);
     total_ += len;
   }
 

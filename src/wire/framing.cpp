@@ -114,24 +114,27 @@ Frame decode_frame_body(ByteBuffer& buf) {
   return frame;
 }
 
-}  // namespace
-
-namespace {
-
 void encode_frame_impl(const Frame& frame, ByteBuffer& out) {
   RMIOPT_CHECK(!frame.messages.empty(), "cannot encode an empty frame");
-  ByteBuffer body;
-  body.put_varint(frame.link_seq);
-  if (frame.messages.size() == 1) {
-    encode_message(body, frame.messages.front());
-  } else {
-    body.put_varint(frame.messages.size());
-    for (const Message& m : frame.messages) encode_message(body, m);
-  }
+  // The image is written in place: tag, a checksum slot, then the body,
+  // whose checksum is patched into the slot once the body is complete.
+  // The charged size plus the frame header is a close capacity hint, so
+  // even a small image is one allocation rather than a chain of regrowths.
+  out.reserve(out.size() + frame.charged_bytes() + 32);
+  const std::size_t slot = out.size() + 1;
   out.put_u8(frame.messages.size() == 1 ? kSingleFrameTag : kBatchFrameTag);
-  const auto body_bytes = body.contents();
-  out.put_u32(frame_checksum(body_bytes.data(), body_bytes.size()));
-  out.put_bytes(body_bytes.data(), body_bytes.size());
+  out.put_u32(0);
+  out.put_varint(frame.link_seq);
+  if (frame.messages.size() == 1) {
+    encode_message(out, frame.messages.front());
+  } else {
+    out.put_varint(frame.messages.size());
+    for (const Message& m : frame.messages) encode_message(out, m);
+  }
+  const std::size_t body = slot + 4;
+  const auto image = out.contents();
+  out.patch_u32(slot,
+                frame_checksum(image.data() + body, image.size() - body));
 }
 
 }  // namespace

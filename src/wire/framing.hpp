@@ -18,6 +18,11 @@
 //              flags u8, deadline_ns varint (only if flags bit 0x80)
 //              payload_len varint, payload bytes
 //
+// The encoder writes the image in place: the tag, a zeroed checksum slot,
+// then the body straight into the output buffer; once the body is
+// complete it patches the body's checksum into the slot
+// (ByteBuffer::patch_u32).
+//
 // The checksum makes corruption *detectable*: a receiver verifies it
 // before trusting any length or kind field, rejects the frame with a
 // DecodeError, and NACKs so the sender retransmits — a corrupted frame is

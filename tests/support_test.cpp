@@ -125,8 +125,11 @@ TEST(Crc32c, MatchesCheckValueAndEmptyInput) {
 TEST(Crc32c, HardwareAndPortablePathsAgree) {
   // Every length up to 300 at every start alignment covers the 8-byte
   // loops' head and tail cases; one 65,600-byte buffer covers a bulk page.
+  // Lengths within 9 bytes of 768 and 24,576 (one block of three 256-byte
+  // and of three 8 KiB lanes), 49,152 (two long blocks) and 65,600 cover
+  // each lane stride, combine table and block boundary.
   SplitMix64 rng(0xC2C);
-  std::vector<std::uint8_t> bytes(65'600);
+  std::vector<std::uint8_t> bytes(65'600 + 9 + 7);
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
   for (std::size_t offset = 0; offset < 8; ++offset) {
     for (std::size_t len = 0; len <= 300; ++len) {
@@ -134,9 +137,16 @@ TEST(Crc32c, HardwareAndPortablePathsAgree) {
                 crc32c_portable(bytes.data() + offset, len))
           << "offset=" << offset << " len=" << len;
     }
+    for (const std::size_t edge : {768, 24'576, 49'152, 65'600}) {
+      for (std::size_t len = edge - 9; len <= edge + 9; ++len) {
+        EXPECT_EQ(crc32c(bytes.data() + offset, len),
+                  crc32c_portable(bytes.data() + offset, len))
+            << "offset=" << offset << " len=" << len;
+      }
+    }
   }
-  EXPECT_EQ(crc32c(bytes.data(), bytes.size()),
-            crc32c_portable(bytes.data(), bytes.size()));
+  EXPECT_EQ(crc32c(bytes.data(), 65'600),
+            crc32c_portable(bytes.data(), 65'600));
 }
 
 TEST(Rng, IsDeterministicPerSeed) {

@@ -3,9 +3,11 @@
 // layer's sequencing and ACK-coalescing queues.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/gather_buffer.hpp"
 #include "wire/framing.hpp"
 #include "wire/session.hpp"
 
@@ -142,6 +144,45 @@ TEST(Framing, FlagsAndDeadlineRoundTrip) {
   expect_equal(back.messages[1], bare);
   EXPECT_EQ(back.messages[1].header.flags, 0);
   EXPECT_EQ(back.messages[1].header.deadline_ns, 0);
+}
+
+TEST(Framing, EncodeIntoMatchesEncode) {
+  // The pooled path writes into a recycled vector; whatever longer image
+  // it held before, it must end up holding exactly encode_frame's image.
+  std::vector<Frame> frames(4);
+  frames[0].link_seq = 41;
+  frames[0].messages.push_back(make_msg(MsgKind::Call, 0, 1, 64, 9));
+  frames[1].link_seq = 129;
+  frames[1].messages.push_back(make_msg(MsgKind::Ack, 2, 5, 0, 1));
+  frames[1].messages.push_back(make_msg(MsgKind::Return, 2, 5, 17, 2));
+  Message dated = make_msg(MsgKind::Call, 0, 1, 12, 44);
+  dated.header.deadline_ns = 987'654'321'000;
+  frames[2].messages.push_back(dated);
+  std::vector<std::uint8_t> row(300);
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    row[i] = static_cast<std::uint8_t>(i * 13);
+  }
+  auto gathered = std::make_shared<support::GatherBuffer>();
+  gathered->put_u32(7);
+  ASSERT_TRUE(gathered->borrow(row.data(), row.size()));
+  gathered->put_varint(row.size());
+  gathered->seal();
+  Message reply = make_msg(MsgKind::Return, 1, 0);
+  reply.gathered = gathered;
+  frames[3].messages.push_back(reply);
+
+  Frame longer;
+  longer.messages.push_back(make_msg(MsgKind::Return, 1, 0, 4096));
+  const ByteBuffer earlier = encode_frame(longer);
+  for (const Frame& frame : frames) {
+    std::vector<std::uint8_t> out(earlier.contents().begin(),
+                                  earlier.contents().end());
+    encode_frame_into(frame, out);
+    const ByteBuffer expected = encode_frame(frame);
+    const auto bytes = expected.contents();
+    EXPECT_EQ(out, std::vector<std::uint8_t>(bytes.begin(), bytes.end()))
+        << "messages=" << frame.messages.size();
+  }
 }
 
 TEST(Framing, RejectMessageRoundTripsItsCodeAndReason) {
